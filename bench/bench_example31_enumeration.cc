@@ -5,20 +5,23 @@
 // turns directly into fleet-wide estimation speedup.
 //
 // A second section times the MOQP pipeline over an Example-3.1-scale
-// enumeration in both execution modes — materialize-everything Optimize
-// vs chunked OptimizeStreaming — reporting plans/sec and the peak number
-// of simultaneously resident candidate plans, optionally as JSON
-// (argv[2], written by scripts/bench_stream.sh to BENCH_stream.json).
+// enumeration at several MoqpOptions::chunk_size values — one chunk
+// holding every candidate (materialize-everything) vs streamed chunks
+// folded into the online Pareto archive — reporting plans/sec and the
+// peak number of simultaneously resident candidate plans, optionally as
+// JSON (argv[2], written by scripts/bench_stream.sh to BENCH_stream.json).
 
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 #include "bench_env_common.h"
 
 #include "common/random.h"
 #include "common/text_table.h"
+#include "ires/features.h"
 #include "ires/moo_optimizer.h"
 #include "query/enumerator.h"
 #include "regression/dream.h"
@@ -97,8 +100,12 @@ FederationEnv MakeFederationEnv() {
 // signs mirror the MOQP feature layout (data MiB then VM count per
 // site): more VMs buy time and cost money, so the front is a genuine
 // time/money trade-off rather than a single dominating plan.
-MultiObjectiveOptimizer::BatchCostPredictor LinearBatchPredictor() {
-  return [](const Matrix& features, Matrix* costs) -> Status {
+MultiObjectiveOptimizer::CostPredictor LinearBatchPredictor(
+    const Federation* federation) {
+  return [federation](std::span<const QueryPlan> plans,
+                      Matrix* costs) -> Status {
+    MIDAS_ASSIGN_OR_RETURN(Matrix features,
+                           ExtractFeatureMatrix(*federation, plans));
     *costs = Matrix(features.rows(), 2, 0.0);
     for (size_t r = 0; r < features.rows(); ++r) {
       double seconds = 100.0;
@@ -118,7 +125,7 @@ constexpr int kStreamReps = 3;
 
 struct StreamRow {
   std::string config;
-  size_t chunk_size = 0;  // 0 = materialized
+  size_t chunk_size = 0;  // 0 = materialized (one chunk of every plan)
   double total_seconds = 0.0;
   size_t candidates = 0;
   size_t peak_resident = 0;
@@ -126,8 +133,8 @@ struct StreamRow {
   bool matches_materialized = true;
 };
 
-// Times Optimize vs OptimizeStreaming over the same candidate fleet and
-// appends the rows to `rows`; every streaming row is cross-checked
+// Times the pipeline at several chunk sizes over the same candidate fleet
+// and appends the rows to `rows`; every streamed row is cross-checked
 // against the materialized front.
 void RunStreamingComparison(std::ostream& out,
                             std::vector<StreamRow>* rows) {
@@ -136,7 +143,7 @@ void RunStreamingComparison(std::ostream& out,
       QueryPlan(MakeJoin(MakeScan("t1"), MakeScan("t2"), "id", "id"));
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
-  const auto predictor = LinearBatchPredictor();
+  const auto predictor = LinearBatchPredictor(&env.federation);
 
   EnumeratorOptions enumerator;
   enumerator.node_counts.clear();
@@ -149,7 +156,7 @@ void RunStreamingComparison(std::ostream& out,
   auto run = [&](const std::string& name, size_t chunk_size) {
     MoqpOptions options;
     options.enumerator = enumerator;
-    options.stream_chunk_size = chunk_size;
+    options.chunk_size = chunk_size == 0 ? enumerator.max_plans : chunk_size;
     MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
                                       options);
     StreamRow row;
@@ -158,9 +165,7 @@ void RunStreamingComparison(std::ostream& out,
     for (int rep = 0; rep < kStreamReps; ++rep) {
       const double t0 = NowSeconds();
       StatusOr<MoqpResult> result =
-          chunk_size == 0
-              ? optimizer.Optimize(logical, predictor, policy)
-              : optimizer.OptimizeStreaming(logical, predictor, policy);
+          optimizer.Optimize(logical, predictor, policy);
       result.status().CheckOK();
       row.total_seconds += NowSeconds() - t0;
       row.candidates = result->candidates_examined;
@@ -210,8 +215,8 @@ void WriteStreamJson(const std::vector<StreamRow>& rows, int reps,
   out << "  \"git_commit\": \"" << GitCommitOrUnknown() << "\",\n";
   out << "  \"setup\": \"two-table join over a two-cloud federation, VM "
          "counts 1-32 per site (Example 3.1 scale); linear batch "
-         "predictor; materialize-everything Optimize vs chunked "
-         "OptimizeStreaming with an online Pareto archive\",\n";
+         "predictor; one chunk of every plan (materialized) vs streamed "
+         "chunks folded into an online Pareto archive\",\n";
   out << "  \"reps\": " << reps << ",\n";
   out << "  \"candidates_examined\": " << rows.front().candidates << ",\n";
   out << "  \"results\": [\n";

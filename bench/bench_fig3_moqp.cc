@@ -113,10 +113,13 @@ void QepRetargetingExperiment(std::ostream& out) {
   SimulatorOptions sim_opts;
   sim_opts.stochastic = false;
   ExecutionSimulator sim(&fed, &workload.catalog(), sim_opts);
-  auto predictor = [&sim](const QueryPlan& plan) -> StatusOr<Vector> {
-    MIDAS_ASSIGN_OR_RETURN(Measurement m, sim.ExpectedCostAt(plan, 0));
-    return Vector{m.seconds, m.dollars};
-  };
+  // The simulator prices a plan by its join shape, not only its
+  // features, so it is adapted plan by plan.
+  const auto predictor =
+      PerPlanCostPredictor([&sim](const QueryPlan& plan) -> StatusOr<Vector> {
+        MIDAS_ASSIGN_OR_RETURN(Measurement m, sim.ExpectedCostAt(plan, 0));
+        return Vector{m.seconds, m.dollars};
+      });
 
   const QueryPlan q12 = tpch::MakeQuery(12).ValueOrDie();
   const std::vector<Vector> weight_sweep = {
@@ -160,7 +163,8 @@ void QepRetargetingExperiment(std::ostream& out) {
                    "WSM pick (s, $)"});
   for (size_t i = 0; i < weight_sweep.size(); ++i) {
     const Vector& p = moqp->pareto_costs[pareto_choices[i]];
-    table.AddRow({"(" + FormatDouble(weight_sweep[i][0], 1) + ", " +
+    const std::string w_time = FormatDouble(weight_sweep[i][0], 1);
+    table.AddRow({"(" + w_time + ", " +
                       FormatDouble(weight_sweep[i][1], 1) + ")",
                   FormatDouble(p[0], 2) + ", " + FormatDouble(p[1], 5),
                   FormatDouble(wsm_costs[i][0], 2) + ", " +

@@ -1,33 +1,26 @@
 // Machine-readable MOQP pipeline benchmark: times the end-to-end
-// Multi-Objective Optimizer (enumerate → predict → Pareto → Algorithm 2)
-// over an Example-3.1-scale QEP space, sweeping thread counts 1/2/4/8 for
-// both costing stages —
+// Multi-Objective Optimizer (enumerate → cost → Pareto fold → Algorithm 2)
+// over an Example-3.1-scale QEP space at MoqpOptions::threads 1/2/4/8.
+// Each configuration runs the one Optimize pipeline with a batched DREAM
+// predictor: every enumeration chunk (MoqpOptions::chunk_size plans) is
+// gathered into a feature matrix, runs Algorithm 1 once and is scored
+// through one GEMM-backed PredictBatch.
 //
-//   scalar_tN   per-plan CostPredictor: each candidate runs DREAM's
-//               Algorithm 1 (window growth to the cap) and one Predict —
-//               the seed pipeline, parallelised over plans;
-//   batch_tN    BatchCostPredictor: candidates are gathered into SoA
-//               feature matrices (MoqpOptions::batch_size rows), each
-//               chunk runs Algorithm 1 once and scores every row through
-//               one GEMM-backed PredictBatch;
-//
-// plus batch_t8_cache, which adds the striped feature-keyed memo so
-// equivalent QEPs are scored once and repeated optimizations reuse the
-// persistent cache. With --stream, stream_tN configurations run the same
-// batched costing through OptimizeStreaming (chunked enumeration folded
-// into the online Pareto archive) so the O(front + chunk) pipeline is
-// tracked against the materialized one. Every row records whether its
-// Pareto front and chosen plan match the serial scalar baseline:
-// bit-identical when the scalar kernel tier is pinned (MIDAS_FORCE_SCALAR),
-// within the SIMD layer's 1e-12 relative drift budget otherwise (the batch
-// paths score through the FMA GEMM tile while the scalar predictor runs
-// per-row dots, so their rounding orders differ). Emits BENCH_moqp.json so
-// the perf trajectory is tracked across PRs; run via scripts/bench_moqp.sh.
+// Every row records whether its Pareto front and chosen plan match a
+// serial reference run that costs each plan on its own through
+// PerPlanCostPredictor (Algorithm 1 and one Predict per candidate):
+// bit-identical when the scalar kernel tier is pinned
+// (MIDAS_FORCE_SCALAR), within the SIMD layer's 1e-12 relative drift
+// budget otherwise (the batch predictor scores through the FMA GEMM tile
+// while the per-plan reference runs per-row dots, so their rounding orders
+// differ). Emits BENCH_moqp.json so the perf trajectory is tracked across
+// changes; run via scripts/bench_moqp.sh.
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <numeric>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,23 +143,19 @@ TrainingSet MakeHistory(const Federation& federation, size_t n) {
 
 struct ConfigResult {
   std::string name;
-  std::string mode;  // "scalar", "batch" or "stream"
   size_t threads = 0;
-  bool cache = false;
   std::vector<double> rep_seconds;
   size_t candidates_examined = 0;
   size_t pareto_size = 0;
   size_t peak_resident = 0;
   bool matches_serial = true;
-  std::vector<size_t> predictor_calls;
-  std::vector<size_t> cache_hits;
 
   double TotalSeconds() const {
     return std::accumulate(rep_seconds.begin(), rep_seconds.end(), 0.0);
   }
 };
 
-int Run(const char* out_path, bool stream) {
+int Run(const char* out_path) {
   // Open the sink before benchmarking: a bad path should fail in
   // milliseconds, not after the timing runs.
   std::FILE* out = stdout;
@@ -184,26 +173,26 @@ int Run(const char* out_path, bool stream) {
 
   // Algorithm 1 with an unreachable R² target grows the window to the cap
   // on every estimate — the per-QEP estimation cost §3 multiplies by the
-  // fleet size. The scalar predictor pays it per candidate; the batch
-  // predictor pays it once per SoA chunk and scores all rows in one GEMM.
-  // Both are deterministic functions of the same history; their per-plan
-  // costs are bit-identical under the scalar kernel tier and within the
-  // SIMD layer's 1e-12 relative drift budget otherwise.
+  // fleet size. The per-plan reference pays it per candidate; the batch
+  // predictor pays it once per chunk and scores all rows in one GEMM.
+  // Both are deterministic functions of the same history.
   DreamOptions dream_options;
   dream_options.r2_require = 2.0;
   dream_options.m_max = 256;
   dream_options.engine = DreamEngine::kIncremental;
-  const auto scalar_predictor =
+  const auto per_plan_predictor = PerPlanCostPredictor(
       [&](const QueryPlan& plan) -> StatusOr<Vector> {
-    MIDAS_ASSIGN_OR_RETURN(Vector x,
-                           ExtractFeatures(env.federation, plan));
-    Dream dream(dream_options);
-    MIDAS_ASSIGN_OR_RETURN(DreamEstimate estimate,
-                           dream.EstimateCostValue(history));
-    return estimate.Predict(x);
-  };
-  const MultiObjectiveOptimizer::BatchCostPredictor batch_predictor =
-      [&](const Matrix& x, Matrix* costs) -> Status {
+        MIDAS_ASSIGN_OR_RETURN(Vector x,
+                               ExtractFeatures(env.federation, plan));
+        Dream dream(dream_options);
+        MIDAS_ASSIGN_OR_RETURN(DreamEstimate estimate,
+                               dream.EstimateCostValue(history));
+        return estimate.Predict(x);
+      });
+  const MultiObjectiveOptimizer::CostPredictor batch_predictor =
+      [&](std::span<const QueryPlan> plans, Matrix* costs) -> Status {
+    MIDAS_ASSIGN_OR_RETURN(Matrix x,
+                           ExtractFeatureMatrix(env.federation, plans));
     Dream dream(dream_options);
     MIDAS_ASSIGN_OR_RETURN(*costs, dream.PredictCostsBatch(history, x));
     return Status::OK();
@@ -216,84 +205,49 @@ int Run(const char* out_path, bool stream) {
   for (int n = 1; n <= 32; ++n) enumerator.node_counts.push_back(n);
   enumerator.max_plans = 200000;
 
-  constexpr int kReps = 3;
-  std::vector<ConfigResult> results;
-  struct Config {
-    std::string name;
-    std::string mode;
-    size_t threads;
-    bool cache;
-  };
-  std::vector<Config> configs;
-  for (size_t threads : {1, 2, 4, 8}) {
-    configs.push_back({"scalar_t" + std::to_string(threads), "scalar",
-                       threads, false});
-  }
-  for (size_t threads : {1, 2, 4, 8}) {
-    configs.push_back({"batch_t" + std::to_string(threads), "batch",
-                       threads, false});
-  }
-  configs.push_back({"batch_t8_cache", "batch", 8, true});
-  if (stream) {
-    for (size_t threads : {1, 8}) {
-      configs.push_back({"stream_t" + std::to_string(threads), "stream",
-                         threads, false});
-    }
-    configs.push_back({"stream_t8_cache", "stream", 8, true});
-  }
+  // Serial per-plan reference, against which every timed row is checked.
+  MoqpOptions reference_options;
+  reference_options.enumerator = enumerator;
+  const double reference_start = NowSeconds();
+  StatusOr<MoqpResult> reference =
+      MultiObjectiveOptimizer(&env.federation, &env.catalog,
+                              reference_options)
+          .Optimize(logical, per_plan_predictor, policy);
+  reference.status().CheckOK();
+  const double reference_seconds = NowSeconds() - reference_start;
+  const std::string reference_plan = reference->chosen_plan().ToString();
+  std::fprintf(stderr, "per-plan reference: %7.3f s  %zu candidates\n",
+               reference_seconds, reference->candidates_examined);
 
-  // Serial scalar result, against which every other row is checked.
-  std::vector<Vector> baseline_front;
-  size_t baseline_chosen = 0;
-  std::string baseline_plan;
-  for (const Config& config : configs) {
+  constexpr int kReps = 20;
+  std::vector<ConfigResult> results;
+  for (size_t threads : {1, 2, 4, 8}) {
     MoqpOptions options;
     options.enumerator = enumerator;
-    options.threads = config.threads;
-    options.cache_predictions = config.cache;
-    // One optimizer per configuration: the prediction cache persists
-    // across its reps, so rep 1 is the cold run and reps 2+ are warm.
+    options.threads = threads;
     MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
                                       options);
     ConfigResult r;
-    r.name = config.name;
-    r.mode = config.mode;
-    r.threads = config.threads;
-    r.cache = config.cache;
+    r.name = "t" + std::to_string(threads);
+    r.threads = threads;
     for (int rep = 0; rep < kReps; ++rep) {
       const double t0 = NowSeconds();
       StatusOr<MoqpResult> result =
-          config.mode == "scalar"
-              ? optimizer.Optimize(logical, scalar_predictor, policy)
-          : config.mode == "stream"
-              ? optimizer.OptimizeStreaming(logical, batch_predictor,
-                                            policy)
-              : optimizer.Optimize(logical, batch_predictor, policy);
+          optimizer.Optimize(logical, batch_predictor, policy);
       result.status().CheckOK();
       r.rep_seconds.push_back(NowSeconds() - t0);
       r.candidates_examined = result->candidates_examined;
       r.pareto_size = result->pareto_costs.size();
       r.peak_resident = result->peak_resident_candidates;
-      r.predictor_calls.push_back(result->predictor_calls);
-      r.cache_hits.push_back(result->cache_hits);
-      const std::string chosen_plan =
-          result->pareto_plans[result->chosen].ToString();
-      if (results.empty() && rep == 0) {
-        baseline_front = result->pareto_costs;
-        baseline_chosen = result->chosen;
-        baseline_plan = chosen_plan;
-      }
-      if (!CostsMatchBaseline(result->pareto_costs, baseline_front) ||
-          result->chosen != baseline_chosen ||
-          chosen_plan != baseline_plan) {
+      if (!CostsMatchBaseline(result->pareto_costs,
+                              reference->pareto_costs) ||
+          result->chosen != reference->chosen ||
+          result->chosen_plan().ToString() != reference_plan) {
         r.matches_serial = false;
       }
-      std::fprintf(stderr,
-                   "%-15s rep %d: %7.3f s  %zu candidates  "
-                   "%zu predictor calls  %zu cache hits%s\n",
-                   config.name.c_str(), rep, r.rep_seconds.back(),
-                   result->candidates_examined, result->predictor_calls,
-                   result->cache_hits,
+      std::fprintf(stderr, "%-4s rep %d: %7.3f s  %zu candidates%s\n",
+                   r.name.c_str(), rep, r.rep_seconds.back(),
+                   result->candidates_examined,
                    r.matches_serial ? "" : "  [MISMATCH vs serial]");
     }
     results.push_back(std::move(r));
@@ -306,13 +260,20 @@ int Run(const char* out_path, bool stream) {
   json +=
       "  \"setup\": \"three-table join over a two-cloud federation, VM "
       "counts 1-32 per site (Example 3.1 scale); DREAM window-growth "
-      "estimator, scalar per-plan vs GEMM-backed batch costing; " +
+      "estimator, batched costing of " +
+      std::to_string(MoqpOptions().chunk_size) +
+      "-plan chunks; fronts checked against a serial per-plan run; " +
       std::to_string(kReps) + " optimizations per config\",\n";
   json += "  \"hardware_concurrency\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
   json += "  \"reps\": " + std::to_string(kReps) + ",\n";
   json += "  \"candidates_examined\": " +
           std::to_string(results[0].candidates_examined) + ",\n";
+  char reference_row[128];
+  std::snprintf(reference_row, sizeof(reference_row),
+                "  \"per_plan_reference_seconds\": %.3f,\n",
+                reference_seconds);
+  json += reference_row;
   json += "  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const ConfigResult& r = results[i];
@@ -322,18 +283,13 @@ int Run(const char* out_path, bool stream) {
     char row[512];
     std::snprintf(
         row, sizeof(row),
-        "    {\"config\": \"%s\", \"mode\": \"%s\", \"threads\": %zu, "
-        "\"cache\": %s, \"total_seconds\": %.3f, \"plans_per_sec\": %.0f, "
+        "    {\"config\": \"%s\", \"threads\": %zu, "
+        "\"total_seconds\": %.3f, \"plans_per_sec\": %.0f, "
         "\"speedup_vs_serial\": %.2f, \"pareto_size\": %zu, "
-        "\"peak_resident_candidates\": %zu, "
-        "\"matches_serial\": %s, \"predictor_calls\": [%zu, %zu, %zu], "
-        "\"cache_hits\": [%zu, %zu, %zu]}%s\n",
-        r.name.c_str(), r.mode.c_str(), r.threads,
-        r.cache ? "true" : "false", total, plans_per_sec,
+        "\"peak_resident_candidates\": %zu, \"matches_serial\": %s}%s\n",
+        r.name.c_str(), r.threads, total, plans_per_sec,
         serial_total / total, r.pareto_size, r.peak_resident,
-        r.matches_serial ? "true" : "false", r.predictor_calls[0],
-        r.predictor_calls[1], r.predictor_calls[2], r.cache_hits[0],
-        r.cache_hits[1], r.cache_hits[2],
+        r.matches_serial ? "true" : "false",
         i + 1 < results.size() ? "," : "");
     json += row;
   }
@@ -348,14 +304,5 @@ int Run(const char* out_path, bool stream) {
 }  // namespace midas
 
 int main(int argc, char** argv) {
-  const char* out_path = nullptr;
-  bool stream = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--stream") {
-      stream = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
-  return midas::Run(out_path, stream);
+  return midas::Run(argc > 1 ? argv[1] : nullptr);
 }

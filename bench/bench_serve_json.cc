@@ -40,7 +40,10 @@ struct BenchConfig {
   std::vector<size_t> tenant_counts = {1, 8, 64};
 };
 
-std::string TenantName(size_t t) { return "t" + std::to_string(t); }
+std::string TenantName(size_t t) {
+  const std::string index = std::to_string(t);
+  return "t" + index;
+}
 
 QueryPolicy PolicyFor(uint64_t k) {
   const double corners[3] = {0.5, 0.7, 0.3};

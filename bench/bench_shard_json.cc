@@ -1,8 +1,8 @@
-// Sharded streaming MOQP benchmark: partitions a >10^6-plan enumeration
+// Sharded MOQP pipeline benchmark: partitions a >10^6-plan enumeration
 // (3-table chain join over a 3-cloud federation, VM counts 1-44 per
-// site) into 1/2/4/8 disjoint shards and times the whole
-// enumerate -> batched-cost -> Pareto-fold -> merge pipeline at each
-// shard count. Every sharded run is cross-checked bitwise against the
+// site) into 1/2/4/8 disjoint shards (MoqpOptions::threads) and times
+// the whole enumerate -> batched-cost -> Pareto-fold -> merge pipeline at
+// each shard count. Every sharded run is cross-checked bitwise against the
 // serial single-stream front (matches_serial) and the process exits
 // nonzero on any mismatch, so the benchmark doubles as a correctness
 // gate. Writes a text report (argv[1]) and machine-readable JSON
@@ -14,6 +14,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 
 #include "common/statistics.h"
 #include "common/text_table.h"
+#include "ires/features.h"
 #include "ires/moo_optimizer.h"
 #include "query/enumerator.h"
 
@@ -90,8 +92,12 @@ QueryPlan ChainJoin() {
 // Cheap pure-linear batch predictor with alternating signs so the front
 // is a genuine trade-off: timings stay dominated by the sharded
 // enumerate/fold/merge machinery under comparison.
-MultiObjectiveOptimizer::BatchCostPredictor LinearBatchPredictor() {
-  return [](const Matrix& features, Matrix* costs) -> Status {
+MultiObjectiveOptimizer::CostPredictor LinearBatchPredictor(
+    const Federation* federation) {
+  return [federation](std::span<const QueryPlan> plans,
+                      Matrix* costs) -> Status {
+    MIDAS_ASSIGN_OR_RETURN(Matrix features,
+                           ExtractFeatureMatrix(*federation, plans));
     *costs = Matrix(features.rows(), 2, 0.0);
     for (size_t r = 0; r < features.rows(); ++r) {
       double seconds = 100.0;
@@ -153,7 +159,7 @@ int main(int argc, char** argv) {
   const QueryPlan logical = ChainJoin();
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
-  const auto predictor = LinearBatchPredictor();
+  const auto predictor = LinearBatchPredictor(&env.federation);
 
   EnumeratorOptions enumerator;
   enumerator.node_counts.clear();
@@ -168,14 +174,14 @@ int main(int argc, char** argv) {
   for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     MoqpOptions options;
     options.enumerator = enumerator;
-    options.shards = shards;
+    options.threads = shards;
     MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
                                       options);
     ShardRow row;
     row.shards = shards;
     const double t0 = MonotonicSeconds();
     StatusOr<MoqpResult> result =
-        optimizer.OptimizeStreaming(logical, predictor, policy);
+        optimizer.Optimize(logical, predictor, policy);
     result.status().CheckOK();
     row.total_seconds = MonotonicSeconds() - t0;
     row.candidates = result->candidates_examined;
@@ -236,8 +242,8 @@ int main(int argc, char** argv) {
     json << "  \"setup\": \"3-table chain join over a 3-cloud federation, "
             "VM counts 1-"
          << max_nodes
-         << " per site; linear batch predictor; sharded OptimizeStreaming "
-            "vs the serial single stream\",\n";
+         << " per site; linear batch predictor; the MOQP pipeline at "
+            "MoqpOptions::threads = shards vs the serial pipeline\",\n";
     json << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
     json << "  \"hardware_concurrency\": " << hardware << ",\n";
     json << "  \"candidates_examined\": " << rows.front().candidates

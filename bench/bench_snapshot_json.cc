@@ -1,7 +1,8 @@
 // Machine-readable snapshot-read-path benchmark: measures prediction
 // throughput when readers pin immutable EstimatorSnapshots while a live
 // writer keeps publishing feedback epochs, at 1/4/16 reader threads,
-// against the serial live-path baseline (no writer, mutable history).
+// against a serial baseline (no writer) running Dream::PredictCosts on the
+// live TrainingSet.
 // Emits BENCH_snapshot.json; run via scripts/bench_snapshot.sh.
 //
 // Readers re-pin every kPinEvery predictions — the per-optimization
@@ -21,6 +22,7 @@
 
 #include "common/random.h"
 #include "ires/modelling.h"
+#include "regression/dream.h"
 
 namespace midas {
 namespace {
@@ -52,18 +54,21 @@ Vector Probe(Rng* rng) {
 }
 
 /// Serial baseline: the pre-snapshot usage pattern — one thread, no
-/// writer, every Predict reads the mutable live history directly.
+/// writer, every prediction runs Dream::PredictCosts on the scope's live
+/// TrainingSet directly.
 double SerialLiveBaseline() {
   Modelling modelling({"x1", "x2", "x3", "x4"}, {"seconds", "dollars"});
   SeedHistory(&modelling, kSeedObservations, 1);
   const EstimatorConfig config = EstimatorConfig::DreamDefault();
+  const TrainingSet& set =
+      *modelling.publisher().history().Get("q").ValueOrDie();
   Rng rng(2);
   using clock = std::chrono::steady_clock;
   size_t predictions = 0;
   const auto start = clock::now();
   double elapsed = 0.0;
   while (elapsed < kRunSeconds) {
-    modelling.Predict("q", Probe(&rng), config).status().CheckOK();
+    Dream(config.dream).PredictCosts(set, Probe(&rng)).status().CheckOK();
     ++predictions;
     elapsed = std::chrono::duration<double>(clock::now() - start).count();
   }

@@ -18,11 +18,12 @@ int main() {
       {"Provider", "Machine", "vCPU", "Memory (GiB)", "Storage (GiB)",
        "Price"});
   for (const InstanceType& t : catalog.types()) {
+    const std::string price = FormatDouble(t.price_per_hour, 4);
     table.AddRow({ProviderKindName(t.provider), t.name,
                   std::to_string(t.vcpu), FormatDouble(t.memory_gib, 0),
                   t.storage_gib > 0.0 ? FormatDouble(t.storage_gib, 0)
                                       : "EBS-Only",
-                  "$" + FormatDouble(t.price_per_hour, 4) + "/hour"});
+                  "$" + price + "/hour"});
   }
   table.Print(std::cout);
 
@@ -50,8 +51,9 @@ int main() {
     } else if (microsoft.ok()) {
       winner = "Microsoft";
     }
+    const std::string vcpu_text = std::to_string(vcpu);
     derived.AddRow(
-        {"(" + std::to_string(vcpu) + ", " + FormatDouble(mem, 0) + ")",
+        {"(" + vcpu_text + ", " + FormatDouble(mem, 0) + ")",
          amazon.ok() ? amazon->name : "n/a",
          amazon.ok() ? FormatDouble(amazon->price_per_hour, 4) : "-",
          microsoft.ok() ? microsoft->name : "n/a",

@@ -47,7 +47,8 @@ int main() {
 
   TextTable table({"plan", "pred seconds", "pred dollars", "chosen"});
   for (size_t i = 0; i < outcome->moqp.pareto_costs.size(); ++i) {
-    table.AddRow({"#" + std::to_string(i),
+    const std::string index = std::to_string(i);
+    table.AddRow({"#" + index,
                   FormatDouble(outcome->moqp.pareto_costs[i][0], 2),
                   FormatDouble(outcome->moqp.pareto_costs[i][1], 5),
                   i == outcome->moqp.chosen ? "  <==" : ""});

@@ -45,10 +45,14 @@ int main() {
   SimulatorOptions sim_opts;
   sim_opts.stochastic = false;  // expected costs for a clean illustration
   ExecutionSimulator simulator(&federation, &workload.catalog(), sim_opts);
-  auto predictor = [&simulator](const QueryPlan& plan) -> StatusOr<Vector> {
-    MIDAS_ASSIGN_OR_RETURN(Measurement m, simulator.ExpectedCostAt(plan, 0));
-    return Vector{m.seconds, m.dollars};
-  };
+  // The simulator prices a plan by its join shape, not only its
+  // features, so it is adapted plan by plan.
+  const auto predictor = PerPlanCostPredictor(
+      [&simulator](const QueryPlan& plan) -> StatusOr<Vector> {
+        MIDAS_ASSIGN_OR_RETURN(Measurement m,
+                               simulator.ExpectedCostAt(plan, 0));
+        return Vector{m.seconds, m.dollars};
+      });
 
   for (int query_id : tpch::PaperQueryIds()) {
     // Place this query's two tables across the two engines.
@@ -72,7 +76,8 @@ int main() {
               << result->candidates_examined << " equivalent QEPs\n";
     TextTable front({"Pareto plan", "seconds", "dollars", "chosen"});
     for (size_t i = 0; i < result->pareto_costs.size(); ++i) {
-      front.AddRow({"#" + std::to_string(i),
+      const std::string index = std::to_string(i);
+      front.AddRow({"#" + index,
                     FormatDouble(result->pareto_costs[i][0], 2),
                     FormatDouble(result->pareto_costs[i][1], 5),
                     i == result->chosen ? "<== fastest under $0.003" : ""});

@@ -2,9 +2,9 @@
 # Builds and runs the snapshot read-path benchmark, writing the
 # machine-readable results to BENCH_snapshot.json at the repo root:
 # predictions/sec through pinned EstimatorSnapshots at 1/4/16 reader
-# threads with a live writer publishing epochs, against the serial
-# live-path baseline, so snapshot-overhead and reader-scaling changes
-# are tracked across PRs.
+# threads with a live writer publishing epochs, against a serial baseline
+# running Dream::PredictCosts on the live TrainingSet, so
+# snapshot-overhead and reader-scaling changes are tracked across PRs.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"

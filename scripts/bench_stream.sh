@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Builds and runs the streaming-pipeline benchmark (section 2 of
-# bench_example31_enumeration): materialize-everything Optimize vs chunked
-# OptimizeStreaming over an Example-3.1-scale plan fleet, reporting
-# plans/sec and the peak number of simultaneously resident candidate
-# plans. Writes the machine-readable results to BENCH_stream.json at the
+# bench_example31_enumeration): one chunk of every plan (materialized) vs
+# streamed MoqpOptions::chunk_size chunks over an Example-3.1-scale plan
+# fleet, reporting plans/sec and the peak number of simultaneously
+# resident candidate plans. Writes the machine-readable results to BENCH_stream.json at the
 # repo root so the streaming perf trajectory is tracked across PRs; every
 # streaming row is cross-checked against the materialized front
 # (matches_materialized).

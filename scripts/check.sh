@@ -1,18 +1,20 @@
 #!/usr/bin/env bash
-# Tier-1 gate: builds the default, asan, ubsan and tsan presets and runs
-# the full test suite under each, so numerically delicate code (e.g. the
-# rank-1 normal-equation updates behind DREAM's incremental engine and the
-# blocked GEMM kernels) is sanitizer-verified on every change and the
-# thread-pool / parallel MOQP / striped-cache paths are race-checked under
-# ThreadSanitizer. The streaming-pipeline equivalence suites (fast
-# non-dominated sort vs naive oracle, online Pareto archive vs
-# materialized front, chunked vs materialized enumeration, and
-# OptimizeStreaming vs Optimize across threads x chunk sizes x cache
-# settings) are discovered with the rest and run under every preset.
+# Tier-1 gate: builds the default, release, force-scalar, asan, ubsan and
+# tsan presets and runs the full test suite under each, so numerically
+# delicate code (e.g. the rank-1 normal-equation updates behind DREAM's
+# incremental engine and the blocked GEMM kernels) is sanitizer-verified
+# on every change and the thread pool and the concurrent MOQP shard
+# pipelines are race-checked under ThreadSanitizer. The release preset
+# (-O3) keeps the optimised build warning-clean under -Werror. The MOQP
+# equivalence suites (fast non-dominated sort vs naive oracle, online
+# Pareto archive vs materialized front, chunked vs materialized
+# enumeration, and the one Optimize pipeline across threads x chunk sizes
+# for every algorithm, per-plan vs batched costing) are discovered with
+# the rest and run under every preset.
 #
-# The snapshot suites ride the same discovery: the snapshot/live
-# equivalence tests run everywhere, the snapshot concurrency suite
-# (readers at 1/4/16 threads pinning epochs against live writers) is
+# The snapshot suites ride the same discovery: the snapshot-vs-direct
+# estimator equivalence tests run everywhere, the snapshot concurrency
+# suite (readers at 1/4/16 threads pinning epochs against live writers) is
 # race-checked under the tsan preset by default, and the
 # TrainingWindow use-after-mutation death tests arm themselves in the
 # asan/tsan builds (MIDAS_TRAINING_WINDOW_CHECKS; GCC exposes no UBSan
@@ -30,17 +32,18 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="${JOBS:-$(nproc)}"
 cd "$repo_root"
 
-for preset in default force-scalar asan ubsan tsan; do
+for preset in default release force-scalar asan ubsan tsan; do
   echo "=== preset: $preset ==="
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$jobs"
   ctest --preset "$preset" -j "$jobs"
 done
 
-# Sharded-streaming cross-check: the quick bench partitions a ~10^5-plan
-# enumeration into 1/2/4/8 shards and exits nonzero unless every sharded
-# front is bitwise identical to the serial stream.
-echo "=== bench: sharded streaming cross-check (--quick) ==="
+# Sharded-pipeline cross-check: the quick bench partitions a ~10^5-plan
+# enumeration into 1/2/4/8 shards (MoqpOptions::threads) and exits
+# nonzero unless every sharded front is bitwise identical to the serial
+# pipeline.
+echo "=== bench: sharded pipeline cross-check (--quick) ==="
 "$repo_root/scripts/bench_shard.sh" --quick
 
 # Serving smoke: closed-loop 1/8-tenant load through the QueryService

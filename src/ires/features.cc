@@ -52,6 +52,16 @@ StatusOr<Vector> ExtractFeatures(const Federation& federation,
   return features;
 }
 
+StatusOr<Matrix> ExtractFeatureMatrix(const Federation& federation,
+                                      std::span<const QueryPlan> plans) {
+  Matrix features(plans.size(), 2 * federation.num_sites());
+  for (size_t i = 0; i < plans.size(); ++i) {
+    MIDAS_ASSIGN_OR_RETURN(Vector row, ExtractFeatures(federation, plans[i]));
+    features.SetRow(i, row);
+  }
+  return features;
+}
+
 std::vector<std::string> FeatureNames(const Federation& federation) {
   std::vector<std::string> names;
   names.reserve(2 * federation.num_sites());

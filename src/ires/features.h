@@ -1,6 +1,7 @@
 #ifndef MIDAS_IRES_FEATURES_H_
 #define MIDAS_IRES_FEATURES_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,11 @@ namespace midas {
 /// annotations set (the enumerator produces both).
 StatusOr<Vector> ExtractFeatures(const Federation& federation,
                                  const QueryPlan& plan);
+
+/// ExtractFeatures over a batch of plans: row i of the result is plan i's
+/// feature vector (the estimators' PredictBatch input layout).
+StatusOr<Matrix> ExtractFeatureMatrix(const Federation& federation,
+                                      std::span<const QueryPlan> plans);
 
 /// Names matching ExtractFeatures' layout.
 std::vector<std::string> FeatureNames(const Federation& federation);

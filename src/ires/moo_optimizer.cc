@@ -1,13 +1,14 @@
 #include "ires/moo_optimizer.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cmath>
+#include <limits>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
 #include "common/statistics.h"
 #include "common/thread_pool.h"
-#include "ires/features.h"
 #include "optimizer/configuration_problem.h"
 #include "optimizer/pareto.h"
 #include "optimizer/pareto_archive.h"
@@ -29,449 +30,173 @@ std::string MoqpAlgorithmName(MoqpAlgorithm algorithm) {
   return "?";
 }
 
+MultiObjectiveOptimizer::CostPredictor PerPlanCostPredictor(
+    std::function<StatusOr<Vector>(const QueryPlan&)> cost) {
+  return [cost = std::move(cost)](std::span<const QueryPlan> plans,
+                                  Matrix* costs) -> Status {
+    if (!cost) return Status::InvalidArgument("null cost predictor");
+    for (size_t i = 0; i < plans.size(); ++i) {
+      MIDAS_ASSIGN_OR_RETURN(Vector row, cost(plans[i]));
+      if (i == 0) {
+        *costs = Matrix(plans.size(), row.size());
+      } else if (row.size() != costs->cols()) {
+        return Status::InvalidArgument(
+            "per-plan predictor returned cost vectors of different arity");
+      }
+      costs->SetRow(i, row);
+    }
+    return Status::OK();
+  };
+}
+
 MultiObjectiveOptimizer::MultiObjectiveOptimizer(const Federation* federation,
                                                  const Catalog* catalog,
                                                  MoqpOptions options)
     : federation_(federation),
       catalog_(catalog),
-      options_(std::move(options)),
-      cache_(std::make_shared<FeatureCostCache>(options_.cache_shards)) {}
+      options_(std::move(options)) {}
 
-StatusOr<MoqpResult> MultiObjectiveOptimizer::FromCandidates(
+StatusOr<MoqpResult> MultiObjectiveOptimizer::RunOnTable(
     std::vector<QueryPlan> plans, std::vector<Vector> costs,
     const QueryPolicy& policy) const {
   MoqpResult result;
-  result.candidates_examined = plans.size();
-  const std::vector<size_t> front =
-      ParetoFrontIndices(costs, options_.threads);
-  result.pareto_plans.reserve(front.size());
-  result.pareto_costs.reserve(front.size());
+  if (options_.algorithm == MoqpAlgorithm::kWsm) {
+    // Figure 3, right branch: one scalar winner, no Pareto set.
+    MIDAS_ASSIGN_OR_RETURN(size_t best, WsmSelect(costs, policy.weights));
+    result.pareto_plans.push_back(std::move(plans[best]));
+    result.pareto_costs.push_back(std::move(costs[best]));
+    result.chosen = 0;
+    return result;
+  }
+
+  // NSGA-II / NSGA-G: evolve over the candidate index space; the
+  // evaluator reads the predicted cost table.
+  ConfigurationProblem problem(
+      "qep-selection", {plans.size()}, costs.empty() ? 0 : costs[0].size(),
+      [&costs](const std::vector<size_t>& cfg) { return costs[cfg[0]]; });
+  MooResult moo;
+  if (options_.algorithm == MoqpAlgorithm::kNsga2) {
+    Nsga2 nsga2(options_.nsga2);
+    MIDAS_ASSIGN_OR_RETURN(moo, nsga2.Optimize(problem));
+  } else {
+    NsgaG nsga_g(options_.nsga_g);
+    MIDAS_ASSIGN_OR_RETURN(moo, nsga_g.Optimize(problem));
+  }
+  // Collect the distinct candidate plans on the evolved front.
+  std::vector<uint8_t> seen(plans.size(), 0);
+  std::vector<QueryPlan> front_plans;
+  std::vector<Vector> front_costs;
+  for (size_t i : moo.front) {
+    const size_t plan_idx = problem.Decode(moo.population[i].variables)[0];
+    if (seen[plan_idx] == 0) {
+      seen[plan_idx] = 1;
+      front_plans.push_back(plans[plan_idx]);
+      front_costs.push_back(costs[plan_idx]);
+    }
+  }
   // Equivalent QEPs can share identical predicted costs (e.g., commuted
   // joins over the same features); keep one representative per cost point.
   std::unordered_set<Vector, VectorHash> seen_costs;
-  seen_costs.reserve(front.size());
-  for (size_t idx : front) {
-    if (!seen_costs.insert(costs[idx]).second) continue;
-    result.pareto_plans.push_back(std::move(plans[idx]));
-    result.pareto_costs.push_back(std::move(costs[idx]));
+  for (size_t idx : ParetoFrontIndices(front_costs)) {
+    if (!seen_costs.insert(front_costs[idx]).second) continue;
+    result.pareto_plans.push_back(std::move(front_plans[idx]));
+    result.pareto_costs.push_back(std::move(front_costs[idx]));
   }
   MIDAS_ASSIGN_OR_RETURN(result.chosen,
                          BestInPareto(result.pareto_costs, policy));
   return result;
-}
-
-void MultiObjectiveOptimizer::OnSnapshotPublished(uint64_t epoch) const {
-  PruneStaleEpochs(epoch);
-}
-
-void MultiObjectiveOptimizer::PruneStaleEpochs(uint64_t snapshot_epoch) const {
-  // A concurrent optimize still pinned to an older epoch only loses warm
-  // entries (it re-predicts); correctness comes from the epoch keying.
-  if (options_.cache_predictions && snapshot_epoch != 0) {
-    cache_->PruneOtherEpochs(snapshot_epoch);
-  }
-}
-
-StatusOr<std::vector<Vector>> MultiObjectiveOptimizer::PredictCandidateCosts(
-    const std::vector<QueryPlan>& plans, const CostPredictor& predictor,
-    size_t arity, uint64_t epoch, uint64_t cache_namespace,
-    PredictionStats* stats) const {
-  ParallelForOptions parallel;
-  parallel.threads = options_.threads;
-  std::vector<Vector> costs(plans.size());
-
-  if (!options_.cache_predictions) {
-    MIDAS_RETURN_IF_ERROR(ParallelFor(
-        plans.size(),
-        [&](size_t i) -> Status {
-          MIDAS_ASSIGN_OR_RETURN(Vector c, predictor(plans[i]));
-          if (c.size() != arity) {
-            return Status::InvalidArgument(
-                "predictor/policy arity mismatch");
-          }
-          costs[i] = std::move(c);
-          return Status::OK();
-        },
-        parallel));
-    stats->predictor_calls = plans.size();
-    return costs;
-  }
-
-  // Feature-keyed memoisation: commuted-join QEPs that map onto the same
-  // feature vector are predicted once (Example 3.1's equivalent
-  // configurations collapse to the distinct VM-count combinations), and
-  // the persistent cache carries estimates across Optimize calls.
-  std::vector<Vector> keys(plans.size());
-  for (size_t i = 0; i < plans.size(); ++i) {
-    MIDAS_ASSIGN_OR_RETURN(keys[i], ExtractFeatures(*federation_, plans[i]));
-  }
-  std::unordered_map<Vector, size_t, VectorHash> slot_by_feature;
-  slot_by_feature.reserve(plans.size());
-  std::vector<size_t> representative;  // first plan index per unique slot
-  std::vector<size_t> slot_of_plan(plans.size());
-  for (size_t i = 0; i < plans.size(); ++i) {
-    const auto [it, inserted] =
-        slot_by_feature.emplace(keys[i], representative.size());
-    if (inserted) representative.push_back(i);
-    slot_of_plan[i] = it->second;
-  }
-
-  std::vector<Vector> unique_costs(representative.size());
-  std::vector<size_t> to_predict;
-  for (size_t s = 0; s < representative.size(); ++s) {
-    if (auto cached =
-            cache_->Lookup(keys[representative[s]], epoch, cache_namespace)) {
-      unique_costs[s] = std::move(*cached);
-      ++stats->cache_hits;
-    } else {
-      to_predict.push_back(s);
-      ++stats->cache_misses;
-    }
-  }
-  MIDAS_RETURN_IF_ERROR(ParallelFor(
-      to_predict.size(),
-      [&](size_t k) -> Status {
-        const size_t s = to_predict[k];
-        MIDAS_ASSIGN_OR_RETURN(Vector c, predictor(plans[representative[s]]));
-        unique_costs[s] = std::move(c);
-        return Status::OK();
-      },
-      parallel));
-  stats->predictor_calls = to_predict.size();
-  for (size_t s : to_predict) {
-    cache_->Insert(keys[representative[s]], unique_costs[s], epoch,
-                   cache_namespace);
-  }
-
-  for (size_t s = 0; s < unique_costs.size(); ++s) {
-    // Checked after the fact so cached entries from an earlier predictor
-    // arity are rejected too.
-    if (unique_costs[s].size() != arity) {
-      return Status::InvalidArgument("predictor/policy arity mismatch");
-    }
-  }
-  for (size_t i = 0; i < plans.size(); ++i) {
-    costs[i] = unique_costs[slot_of_plan[i]];
-  }
-  return costs;
-}
-
-StatusOr<std::vector<Vector>>
-MultiObjectiveOptimizer::PredictCandidateCostsBatched(
-    const std::vector<QueryPlan>& plans, const BatchCostPredictor& predictor,
-    size_t arity, uint64_t epoch, uint64_t cache_namespace, size_t threads,
-    PredictionStats* stats) const {
-  ParallelForOptions parallel;
-  parallel.threads = threads;
-  std::vector<Vector> costs(plans.size());
-  if (plans.empty()) return costs;
-
-  // One ExtractFeatures pass over every candidate, in stable candidate
-  // order (each index writes its own slot, so the parallel pass is
-  // bit-identical to a serial one).
-  std::vector<Vector> features(plans.size());
-  MIDAS_RETURN_IF_ERROR(ParallelFor(
-      plans.size(),
-      [&](size_t i) -> Status {
-        MIDAS_ASSIGN_OR_RETURN(features[i],
-                               ExtractFeatures(*federation_, plans[i]));
-        return Status::OK();
-      },
-      parallel));
-  const size_t n_features = features[0].size();
-
-  // Output slots: without the cache every candidate owns one; with it,
-  // candidates sharing a feature vector collapse onto one slot and only
-  // the slots absent from the cache reach the predictor.
-  std::vector<size_t> slot_of_plan(plans.size());
-  std::vector<size_t> representative;  // first feature-row index per slot
-  std::vector<size_t> to_predict;      // slots that need scoring
-  std::vector<Vector> unique_costs;
-  if (!options_.cache_predictions) {
-    representative.resize(plans.size());
-    to_predict.resize(plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-      slot_of_plan[i] = representative[i] = to_predict[i] = i;
-    }
-    unique_costs.resize(plans.size());
-  } else {
-    std::unordered_map<Vector, size_t, VectorHash> slot_by_feature;
-    slot_by_feature.reserve(plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-      const auto [it, inserted] =
-          slot_by_feature.emplace(features[i], representative.size());
-      if (inserted) representative.push_back(i);
-      slot_of_plan[i] = it->second;
-    }
-    unique_costs.resize(representative.size());
-    for (size_t s = 0; s < representative.size(); ++s) {
-      if (auto cached = cache_->Lookup(features[representative[s]], epoch,
-                                       cache_namespace)) {
-        unique_costs[s] = std::move(*cached);
-        ++stats->cache_hits;
-      } else {
-        to_predict.push_back(s);
-        ++stats->cache_misses;
-      }
-    }
-  }
-
-  // Score batch_size-row chunks concurrently. Each chunk gathers its
-  // feature rows into one SoA matrix and receives one cost row per
-  // feature row; chunk boundaries never affect the scored values, only
-  // how often the predictor amortises its per-batch setup.
-  const size_t rows = to_predict.size();
-  size_t chunk_rows = options_.batch_size;
-  if (chunk_rows == 0) {
-    const size_t t = parallel.threads == 0 ? ThreadPool::DefaultThreadCount()
-                                           : parallel.threads;
-    chunk_rows = (rows + t - 1) / t;
-  }
-  chunk_rows = std::max<size_t>(1, chunk_rows);
-  const size_t n_chunks = (rows + chunk_rows - 1) / chunk_rows;
-  MIDAS_RETURN_IF_ERROR(ParallelFor(
-      n_chunks,
-      [&](size_t c) -> Status {
-        const size_t begin = c * chunk_rows;
-        const size_t end = std::min(begin + chunk_rows, rows);
-        Matrix x(end - begin, n_features);
-        for (size_t r = begin; r < end; ++r) {
-          x.SetRow(r - begin, features[representative[to_predict[r]]]);
-        }
-        Matrix scored;
-        MIDAS_RETURN_IF_ERROR(predictor(x, &scored));
-        if (scored.rows() != x.rows()) {
-          return Status::InvalidArgument(
-              "batch predictor returned a wrong-sized batch");
-        }
-        if (scored.cols() != arity) {
-          return Status::InvalidArgument("predictor/policy arity mismatch");
-        }
-        for (size_t r = begin; r < end; ++r) {
-          unique_costs[to_predict[r]] = scored.Row(r - begin);
-        }
-        return Status::OK();
-      },
-      parallel));
-  stats->predictor_calls = rows;
-
-  if (options_.cache_predictions) {
-    for (size_t s : to_predict) {
-      cache_->Insert(features[representative[s]], unique_costs[s], epoch,
-                     cache_namespace);
-    }
-    // Checked after the fact so cached entries from an earlier predictor
-    // arity are rejected too.
-    for (const Vector& cost : unique_costs) {
-      if (cost.size() != arity) {
-        return Status::InvalidArgument("predictor/policy arity mismatch");
-      }
-    }
-  }
-  for (size_t i = 0; i < plans.size(); ++i) {
-    costs[i] = unique_costs[slot_of_plan[i]];
-  }
-  return costs;
-}
-
-StatusOr<MoqpResult> MultiObjectiveOptimizer::RunAlgorithm(
-    std::vector<QueryPlan> plans, std::vector<Vector> costs,
-    const QueryPolicy& policy) const {
-  switch (options_.algorithm) {
-    case MoqpAlgorithm::kExhaustivePareto:
-      return FromCandidates(std::move(plans), std::move(costs), policy);
-
-    case MoqpAlgorithm::kWsm: {
-      // Figure 3, right branch: one scalar winner, no Pareto set.
-      MIDAS_ASSIGN_OR_RETURN(size_t best, WsmSelect(costs, policy.weights));
-      MoqpResult result;
-      result.candidates_examined = plans.size();
-      result.pareto_plans.push_back(std::move(plans[best]));
-      result.pareto_costs.push_back(std::move(costs[best]));
-      result.chosen = 0;
-      return result;
-    }
-
-    case MoqpAlgorithm::kNsga2:
-    case MoqpAlgorithm::kNsgaG: {
-      // Evolve over the candidate index space; the evaluator reads the
-      // predicted cost table.
-      ConfigurationProblem problem(
-          "qep-selection", {plans.size()}, costs.empty() ? 0 : costs[0].size(),
-          [&costs](const std::vector<size_t>& cfg) { return costs[cfg[0]]; });
-      MooResult moo;
-      if (options_.algorithm == MoqpAlgorithm::kNsga2) {
-        Nsga2 nsga2(options_.nsga2);
-        MIDAS_ASSIGN_OR_RETURN(moo, nsga2.Optimize(problem));
-      } else {
-        NsgaG nsga_g(options_.nsga_g);
-        MIDAS_ASSIGN_OR_RETURN(moo, nsga_g.Optimize(problem));
-      }
-      // Collect the distinct candidate plans on the evolved front.
-      std::vector<uint8_t> seen(plans.size(), 0);
-      std::vector<QueryPlan> front_plans;
-      std::vector<Vector> front_costs;
-      for (size_t i : moo.front) {
-        const size_t plan_idx =
-            problem.Decode(moo.population[i].variables)[0];
-        if (seen[plan_idx] == 0) {
-          seen[plan_idx] = 1;
-          front_plans.push_back(plans[plan_idx]);
-          front_costs.push_back(costs[plan_idx]);
-        }
-      }
-      MoqpResult result;
-      MIDAS_ASSIGN_OR_RETURN(
-          result, FromCandidates(std::move(front_plans),
-                                 std::move(front_costs), policy));
-      result.candidates_examined = plans.size();
-      return result;
-    }
-  }
-  return Status::Internal("unhandled MOQP algorithm");
 }
 
 StatusOr<MoqpResult> MultiObjectiveOptimizer::Optimize(
     const QueryPlan& logical, const CostPredictor& predictor,
-    const QueryPolicy& policy, uint64_t snapshot_epoch,
-    uint64_t cache_namespace) const {
+    const QueryPolicy& policy) const {
   if (!predictor) return Status::InvalidArgument("null cost predictor");
 
   PlanEnumerator enumerator(federation_, catalog_, options_.enumerator);
-  MIDAS_ASSIGN_OR_RETURN(std::vector<QueryPlan> plans,
-                         enumerator.EnumeratePhysical(logical));
-  const size_t candidates = plans.size();
-
-  PredictionStats stats;
-  MIDAS_ASSIGN_OR_RETURN(
-      std::vector<Vector> costs,
-      PredictCandidateCosts(plans, predictor, policy.weights.size(),
-                            snapshot_epoch, cache_namespace, &stats));
-
-  MIDAS_ASSIGN_OR_RETURN(
-      MoqpResult result,
-      RunAlgorithm(std::move(plans), std::move(costs), policy));
-  stats.ApplyTo(&result, snapshot_epoch);
-  result.peak_resident_candidates = candidates;
-  return result;
-}
-
-StatusOr<MoqpResult> MultiObjectiveOptimizer::Optimize(
-    const QueryPlan& logical, const BatchCostPredictor& predictor,
-    const QueryPolicy& policy, uint64_t snapshot_epoch,
-    uint64_t cache_namespace) const {
-  if (!predictor) return Status::InvalidArgument("null cost predictor");
-
-  PlanEnumerator enumerator(federation_, catalog_, options_.enumerator);
-  MIDAS_ASSIGN_OR_RETURN(std::vector<QueryPlan> plans,
-                         enumerator.EnumeratePhysical(logical));
-  const size_t candidates = plans.size();
-
-  PredictionStats stats;
-  MIDAS_ASSIGN_OR_RETURN(
-      std::vector<Vector> costs,
-      PredictCandidateCostsBatched(plans, predictor, policy.weights.size(),
-                                   snapshot_epoch, cache_namespace,
-                                   options_.threads, &stats));
-
-  MIDAS_ASSIGN_OR_RETURN(
-      MoqpResult result,
-      RunAlgorithm(std::move(plans), std::move(costs), policy));
-  stats.ApplyTo(&result, snapshot_epoch);
-  result.peak_resident_candidates = candidates;
-  return result;
-}
-
-StatusOr<MoqpResult> MultiObjectiveOptimizer::OptimizeStreaming(
-    const QueryPlan& logical, const BatchCostPredictor& predictor,
-    const QueryPolicy& policy, uint64_t snapshot_epoch,
-    uint64_t cache_namespace) const {
-  if (!predictor) return Status::InvalidArgument("null cost predictor");
-  if (options_.algorithm != MoqpAlgorithm::kExhaustivePareto) {
-    // kWsm min-max-normalises every metric over the full candidate set
-    // and the NSGA variants evolve over the full cost table, so neither
-    // can be folded chunk by chunk without changing the answer.
-    return Optimize(logical, predictor, policy, snapshot_epoch,
-                    cache_namespace);
-  }
-
-  PlanEnumerator enumerator(federation_, catalog_, options_.enumerator);
-  const size_t arity = policy.weights.size();
-  const size_t chunk_size = options_.stream_chunk_size == 0
-                                ? MoqpOptions().stream_chunk_size
-                                : options_.stream_chunk_size;
-  const size_t num_shards = options_.shards == 0
+  const size_t num_shards = options_.threads == 0
                                 ? ThreadPool::DefaultThreadCount()
-                                : options_.shards;
-  if (num_shards > 1) {
-    return OptimizeShardedStreaming(enumerator, logical, predictor, policy,
-                                    chunk_size, num_shards, snapshot_epoch,
-                                    cache_namespace);
-  }
-
-  PredictionStats stats;
-  ParetoArchive<QueryPlan> archive;
-  size_t examined = 0;
-  size_t peak_resident = 0;
-  MIDAS_RETURN_IF_ERROR(enumerator.EnumerateChunked(
-      logical, chunk_size,
-      [&](std::vector<QueryPlan>&& chunk) -> Status {
-        examined += chunk.size();
-        PredictionStats chunk_stats;
-        MIDAS_ASSIGN_OR_RETURN(
-            std::vector<Vector> costs,
-            PredictCandidateCostsBatched(chunk, predictor, arity,
-                                         snapshot_epoch, cache_namespace,
-                                         options_.threads, &chunk_stats));
-        stats.MergeFrom(chunk_stats);
-        peak_resident = std::max(peak_resident, archive.size() + chunk.size());
-        // Reduce the chunk to its own front first (cheap for the 2–3
-        // metric policies), then fold the survivors in candidate order:
-        // the archive keeps first representatives and evicts members a
-        // later chunk dominates, reproducing FromCandidates exactly.
-        const std::vector<size_t> front =
-            ParetoFrontIndices(costs, options_.threads);
-        for (size_t idx : front) {
-          archive.Insert(std::move(costs[idx]), std::move(chunk[idx]));
-        }
-        return Status::OK();
-      }));
-
-  MoqpResult result;
-  result.candidates_examined = examined;
-  result.pareto_costs = archive.TakeCosts();
-  result.pareto_plans = archive.TakePayloads();
-  MIDAS_ASSIGN_OR_RETURN(result.chosen,
-                         BestInPareto(result.pareto_costs, policy));
-  stats.ApplyTo(&result, snapshot_epoch);
-  result.peak_resident_candidates = peak_resident;
-  return result;
-}
-
-StatusOr<MoqpResult> MultiObjectiveOptimizer::OptimizeShardedStreaming(
-    const PlanEnumerator& enumerator, const QueryPlan& logical,
-    const BatchCostPredictor& predictor, const QueryPolicy& policy,
-    size_t chunk_size, size_t num_shards, uint64_t snapshot_epoch,
-    uint64_t cache_namespace) const {
+                                : options_.threads;
+  const size_t chunk_size = options_.chunk_size == 0
+                                ? MoqpOptions().chunk_size
+                                : options_.chunk_size;
+  const size_t arity = policy.weights.size();
+  const bool fold_front =
+      options_.algorithm == MoqpAlgorithm::kExhaustivePareto;
   MIDAS_ASSIGN_OR_RETURN(std::vector<EnumerationShard> shards,
                          enumerator.PartitionShards(logical, num_shards));
-  const size_t arity = policy.weights.size();
 
-  // One independent pipeline per shard: enumerate its strata, score
-  // whole chunks against the pinned snapshot epoch, fold each chunk's
-  // survivors into a shard-local archive keyed by global sequence
-  // numbers. Shards share only the (lock-striped, epoch-keyed) feature
-  // cache; everything else is shard-private, so the only concurrency
-  // effect is which shard publishes a shared feature vector first — the
-  // cost values are a pure function of the features at this epoch.
+  // One independent pipeline per shard: enumerate its strata, cost whole
+  // chunks, fold each costed chunk into shard-private state keyed by
+  // global sequence numbers. Shards share nothing but the predictor.
   struct ShardRun {
-    ParetoArchive<QueryPlan> archive;
-    PredictionStats stats;
+    ParetoArchive<QueryPlan> archive;  // kExhaustivePareto
+    std::vector<uint64_t> seqs;        // the other algorithms' table rows
+    std::vector<Vector> costs;
+    std::vector<QueryPlan> plans;
     uint64_t examined = 0;
     size_t peak_resident = 0;
     double seconds = 0.0;
+    Status status;
+    // Sequence a failure is attributed to: the non-finite candidate, else
+    // the first candidate of the chunk being costed when it failed.
+    uint64_t failed_seq = std::numeric_limits<uint64_t>::max();
   };
   std::vector<ShardRun> runs(shards.size());
+
+  auto cost_and_fold = [&](ShardRun& run, std::vector<QueryPlan>&& chunk,
+                           const std::vector<uint64_t>& seqs) -> Status {
+    run.examined += chunk.size();
+    run.failed_seq = seqs.front();  // read only if this chunk fails
+    Matrix scored;
+    MIDAS_RETURN_IF_ERROR(
+        predictor(std::span<const QueryPlan>(chunk), &scored));
+    if (scored.rows() != chunk.size()) {
+      return Status::InvalidArgument(
+          "cost predictor returned a wrong-sized batch");
+    }
+    if (scored.cols() != arity) {
+      return Status::InvalidArgument("predictor/policy arity mismatch");
+    }
+    // A NaN breaks the strict weak ordering the Pareto sort relies on and
+    // an infinity breaks Algorithm 2's normalisation, so neither may pass.
+    std::vector<Vector> costs(chunk.size());
+    for (size_t r = 0; r < chunk.size(); ++r) {
+      costs[r] = scored.Row(r);
+      for (double c : costs[r]) {
+        if (!std::isfinite(c)) {
+          run.failed_seq = seqs[r];
+          return Status::InvalidArgument(
+              "predicted cost of candidate " + std::to_string(seqs[r]) +
+              " is not finite");
+        }
+      }
+    }
+
+    const size_t kept = fold_front ? run.archive.size() : run.plans.size();
+    run.peak_resident = std::max(run.peak_resident, kept + chunk.size());
+    if (fold_front) {
+      // Reduce the chunk to its own front (cheap for the 2–3 metric
+      // policies), keeping one plan per cost point — front indices are
+      // ascending, so the first is the lowest sequence; each duplicate
+      // would otherwise cost the archive an O(front) lookup. The archive
+      // keeps the lowest-sequence representative of every cost point and
+      // evicts members a later chunk dominates.
+      std::unordered_set<Vector, VectorHash> seen;
+      for (size_t idx : ParetoFrontIndices(costs, /*threads=*/1)) {
+        if (!seen.insert(costs[idx]).second) continue;
+        run.archive.InsertSequenced(std::move(costs[idx]), seqs[idx],
+                                    std::move(chunk[idx]));
+      }
+    } else {
+      for (size_t r = 0; r < chunk.size(); ++r) {
+        run.seqs.push_back(seqs[r]);
+        run.costs.push_back(std::move(costs[r]));
+        run.plans.push_back(std::move(chunk[r]));
+      }
+    }
+    return Status::OK();
+  };
+
   ParallelForOptions parallel;
   parallel.threads = num_shards;
   MIDAS_RETURN_IF_ERROR(ParallelFor(
@@ -479,70 +204,84 @@ StatusOr<MoqpResult> MultiObjectiveOptimizer::OptimizeShardedStreaming(
       [&](size_t s) -> Status {
         ShardRun& run = runs[s];
         const double started = MonotonicSeconds();
-        MIDAS_RETURN_IF_ERROR(enumerator.EnumerateShardChunked(
+        run.status = enumerator.EnumerateShardChunked(
             logical, shards[s], chunk_size,
             [&](std::vector<QueryPlan>&& chunk,
                 std::vector<uint64_t>&& seqs) -> Status {
-              run.examined += chunk.size();
-              PredictionStats chunk_stats;
-              // Inner stages run serial (threads = 1): the shard fan-out
-              // already occupies the pool's workers.
-              MIDAS_ASSIGN_OR_RETURN(
-                  std::vector<Vector> costs,
-                  PredictCandidateCostsBatched(chunk, predictor, arity,
-                                               snapshot_epoch, cache_namespace,
-                                               /*threads=*/1, &chunk_stats));
-              run.stats.MergeFrom(chunk_stats);
-              run.peak_resident = std::max(run.peak_resident,
-                                           run.archive.size() + chunk.size());
-              const std::vector<size_t> front =
-                  ParetoFrontIndices(costs, /*threads=*/1);
-              for (size_t idx : front) {
-                run.archive.InsertSequenced(std::move(costs[idx]), seqs[idx],
-                                            std::move(chunk[idx]));
-              }
-              return Status::OK();
-            }));
+              return cost_and_fold(run, std::move(chunk), seqs);
+            });
         run.seconds = MonotonicSeconds() - started;
+        // Failures are collected rather than returned so every shard runs
+        // to its own first failure and the lowest-sequence one is
+        // reported, independent of the shard count.
         return Status::OK();
       },
       parallel));
+  const ShardRun* failed = nullptr;
+  for (const ShardRun& run : runs) {
+    if (!run.status.ok() &&
+        (failed == nullptr || run.failed_seq < failed->failed_seq)) {
+      failed = &run;
+    }
+  }
+  if (failed != nullptr) return failed->status;
 
   MoqpResult result;
-  PredictionStats stats;
-  std::vector<ParetoArchive<QueryPlan>> archives;
-  archives.reserve(runs.size());
-  result.shard_stats.reserve(runs.size());
+  size_t candidates = 0;
+  size_t peak_resident = 0;
+  std::vector<MoqpShardStats> shard_stats;
+  shard_stats.reserve(runs.size());
   for (size_t s = 0; s < runs.size(); ++s) {
-    ShardRun& run = runs[s];
-    stats.MergeFrom(run.stats);
-    result.candidates_examined += static_cast<size_t>(run.examined);
-    result.peak_resident_candidates += run.peak_resident;
-    MoqpShardStats shard_stats;
-    shard_stats.shard = s;
-    shard_stats.candidates_examined = run.examined;
-    shard_stats.front_size = run.archive.size();
-    shard_stats.peak_resident_candidates = run.peak_resident;
-    shard_stats.seconds = run.seconds;
-    shard_stats.plans_per_sec =
+    const ShardRun& run = runs[s];
+    candidates += static_cast<size_t>(run.examined);
+    peak_resident += run.peak_resident;
+    MoqpShardStats stats;
+    stats.shard = s;
+    stats.candidates_examined = run.examined;
+    stats.front_size = fold_front ? run.archive.size() : run.plans.size();
+    stats.peak_resident_candidates = run.peak_resident;
+    stats.seconds = run.seconds;
+    stats.plans_per_sec =
         run.seconds > 0.0 ? static_cast<double>(run.examined) / run.seconds
                           : 0.0;
-    result.shard_stats.push_back(shard_stats);
-    archives.push_back(std::move(run.archive));
+    shard_stats.push_back(stats);
   }
 
-  // Tree-merge the shard archives (associative + dedup-stable, so the
-  // member set is independent of the tree shape) and restore the serial
-  // arrival order via the global sequence numbers: from here on the
-  // result is byte-for-byte the single-stream one.
-  ParetoArchive<QueryPlan> merged =
-      ParetoArchive<QueryPlan>::MergeTree(std::move(archives));
-  merged.SortBySequence();
-  result.pareto_costs = merged.TakeCosts();
-  result.pareto_plans = merged.TakePayloads();
-  MIDAS_ASSIGN_OR_RETURN(result.chosen,
-                         BestInPareto(result.pareto_costs, policy));
-  stats.ApplyTo(&result, snapshot_epoch);
+  if (fold_front) {
+    // Tree-merge the shard archives (associative + dedup-stable, so the
+    // member set is independent of the tree shape) and restore the serial
+    // arrival order via the global sequence numbers: from here on the
+    // result is byte-for-byte the single-pipeline one.
+    std::vector<ParetoArchive<QueryPlan>> archives;
+    archives.reserve(runs.size());
+    for (ShardRun& run : runs) archives.push_back(std::move(run.archive));
+    ParetoArchive<QueryPlan> merged =
+        ParetoArchive<QueryPlan>::MergeTree(std::move(archives));
+    merged.SortBySequence();
+    result.pareto_costs = merged.TakeCosts();
+    result.pareto_plans = merged.TakePayloads();
+    MIDAS_ASSIGN_OR_RETURN(result.chosen,
+                           BestInPareto(result.pareto_costs, policy));
+  } else {
+    // Reassemble the full cost table in serial enumeration order: the
+    // shards' sequence numbers are exactly 0..candidates-1.
+    std::vector<QueryPlan> plans(candidates);
+    std::vector<Vector> costs(candidates);
+    for (ShardRun& run : runs) {
+      for (size_t r = 0; r < run.seqs.size(); ++r) {
+        if (run.seqs[r] >= candidates) {
+          return Status::Internal("shard sequence numbers are not dense");
+        }
+        plans[run.seqs[r]] = std::move(run.plans[r]);
+        costs[run.seqs[r]] = std::move(run.costs[r]);
+      }
+    }
+    MIDAS_ASSIGN_OR_RETURN(
+        result, RunOnTable(std::move(plans), std::move(costs), policy));
+  }
+  result.candidates_examined = candidates;
+  result.peak_resident_candidates = peak_resident;
+  result.shard_stats = std::move(shard_stats);
   return result;
 }
 

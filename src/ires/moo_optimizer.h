@@ -2,11 +2,11 @@
 #define MIDAS_IRES_MOO_OPTIMIZER_H_
 
 #include <functional>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "federation/federation.h"
-#include "ires/cost_cache.h"
+#include "linalg/matrix.h"
 #include "optimizer/best_in_pareto.h"
 #include "optimizer/nsga2.h"
 #include "optimizer/nsga_g.h"
@@ -36,65 +36,36 @@ struct MoqpOptions {
   EnumeratorOptions enumerator;
   Nsga2Options nsga2;
   NsgaGOptions nsga_g;
-  /// Concurrent chunks for the candidate cost-prediction loop and the
-  /// exhaustive Pareto front extraction: 1 = serial (default), 0 = the
-  /// process-wide default parallelism. Candidate order, results and
-  /// first-error semantics are preserved at any value; the cost predictor
-  /// must be thread-safe when != 1.
+  /// Concurrent enumerate → cost → fold pipelines: the plan space is
+  /// partitioned into this many shards (PlanEnumerator::PartitionShards)
+  /// that each run the whole pipeline on the thread pool, after which the
+  /// shard results are merged back into the serial arrival order. 1 = the
+  /// single serial pipeline (default); 0 = the process-wide default
+  /// parallelism. The result is identical at any value, for every
+  /// algorithm; the cost predictor must be thread-safe when != 1.
   size_t threads = 1;
-  /// Memoise predictor calls in a FeatureCostCache keyed by the plan's
-  /// extracted feature vector, shared across Optimize calls on this
-  /// optimizer. Only sound when the predictor is a pure function of the
-  /// features (true for the Modelling/DREAM estimators; NOT true for the
-  /// raw execution simulator, whose costs also depend on join shape).
-  bool cache_predictions = false;
-  /// Rows per chunk of the *batched* costing stage (the Optimize overload
-  /// taking a BatchCostPredictor): candidates are scored `batch_size`
-  /// feature rows at a time, chunks running concurrently on the thread
-  /// pool. Bigger chunks amortise per-batch estimator setup (DREAM refits
-  /// Algorithm 1 once per chunk) but leave fewer chunks to parallelise;
-  /// 0 splits the batch evenly across the resolved thread count. Results
-  /// are independent of the chunking.
-  size_t batch_size = 1024;
-  /// Lock stripes of the shared FeatureCostCache (rounded up to a power of
-  /// two). More shards cut contention on warm parallel lookups; counters
-  /// and contents behave identically at any value.
-  size_t cache_shards = FeatureCostCache::kDefaultShards;
-  /// Candidate plans materialised per enumeration chunk of
-  /// OptimizeStreaming: the streaming pipeline holds at most the online
-  /// Pareto archive plus one chunk of this many plans, so smaller values
-  /// tighten the O(front + chunk) peak working set while larger values
-  /// amortise the batched scoring setup over more rows. 0 falls back to
-  /// the default. The produced result is independent of the value.
-  size_t stream_chunk_size = 4096;
-  /// Disjoint enumeration pipelines of OptimizeStreaming: the plan space
-  /// is partitioned into this many shards (PlanEnumerator::PartitionShards)
-  /// that each run the whole enumerate → batched-cost → Pareto-fold
-  /// pipeline concurrently on the thread pool against the pinned snapshot
-  /// epoch, after which the shard archives are tree-merged and re-ordered
-  /// into the serial arrival sequence. 1 = the single serial stream
-  /// (default); 0 = the process-wide default parallelism. The produced
-  /// result is bit-identical at any value; per-shard pipeline metrics
-  /// land in MoqpResult::shard_stats. Only kExhaustivePareto streams —
-  /// the other algorithms delegate to the materialized path, which
-  /// ignores this knob. The batch predictor must be thread-safe
-  /// when != 1.
-  size_t shards = 1;
+  /// Candidate plans per enumerate → cost → fold chunk, which is also the
+  /// batch handed to the cost predictor. Smaller chunks tighten the
+  /// exhaustive fold's O(front + chunk) working set; larger ones amortise
+  /// the predictor's per-batch setup over more rows. 0 falls back to the
+  /// default. The result is independent of the value.
+  size_t chunk_size = 4096;
 };
 
-/// \brief Pipeline metrics of one enumeration shard of the sharded
-/// OptimizeStreaming path (MoqpOptions::shards): timings are per shard,
-/// so plans/sec here exposes stragglers the aggregate result hides.
+/// \brief Pipeline metrics of one enumeration shard (one of the
+/// MoqpOptions::threads concurrent pipelines): timings are per shard, so
+/// plans/sec here exposes stragglers the aggregate result hides.
 struct MoqpShardStats {
   /// Shard id, 0-based (matches the PartitionShards output order).
   size_t shard = 0;
   /// Candidate plans this shard enumerated and costed.
   uint64_t candidates_examined = 0;
-  /// Members of the shard-local archive when the shard finished
-  /// (pre-merge front size).
+  /// Rows this shard kept when it finished: its local Pareto archive for
+  /// kExhaustivePareto (pre-merge front size), its whole slice of the
+  /// cost table for the other algorithms.
   size_t front_size = 0;
-  /// High-water mark of this shard's resident candidates (its archive
-  /// front plus one in-flight chunk).
+  /// High-water mark of this shard's resident candidates (its kept rows
+  /// plus one in-flight chunk).
   size_t peak_resident_candidates = 0;
   /// Wall-clock seconds of the shard's enumerate→cost→fold pipeline.
   double seconds = 0.0;
@@ -111,43 +82,21 @@ struct MoqpResult {
   std::vector<Vector> pareto_costs;
   /// Index of the plan Algorithm 2 picked for the user policy.
   size_t chosen = 0;
-  /// Number of physical plans considered. Aggregation: SUM across
+  /// Number of physical plans considered (and costed): SUM across the
   /// concurrent pipelines — every candidate is examined by exactly one
   /// shard, so the sum equals the serial count.
   size_t candidates_examined = 0;
-  /// Predictor invocations this call actually performed (equals
-  /// candidates_examined without the feature cache; with it, only the
-  /// distinct feature vectors absent from the cache are predicted).
-  /// Aggregation: SUM of rows scored across concurrent pipelines.
-  size_t predictor_calls = 0;
-  /// Feature-cache hits/misses of this call (0/0 when caching is off).
-  /// Aggregated identically on every pipeline — scalar, batched,
-  /// streaming and sharded — always as a SUM over the pipeline's stages.
-  /// Per pipeline, cache_hits + cache_misses == distinct feature vectors
-  /// it examined, and predictor_calls == cache_misses whenever caching is
-  /// on. Under concurrent shards those invariants hold per shard and
-  /// therefore for the sums, but the hit/miss *split* is not
-  /// deterministic: two shards can each miss the same vector before
-  /// either publishes it, turning a would-be hit into a second miss (the
-  /// cost *values* are unaffected — the predictor is a pure function of
-  /// the features at a fixed epoch).
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
-  /// Estimator snapshot epoch the costs were predicted against, as passed
-  /// to Optimize (0 = unversioned legacy caller).
+  /// Estimator snapshot epoch the costs were predicted against. Stamped
+  /// by MidasSystem::OptimizeQuery; 0 when the optimizer is driven
+  /// directly with a caller-owned predictor.
   uint64_t snapshot_epoch = 0;
-  /// High-water mark of simultaneously materialised candidate plans: the
-  /// whole candidate set for the materialize-everything paths, the
-  /// archive front plus one in-flight chunk for single-stream
-  /// OptimizeStreaming. Aggregation under sharding: SUM of the per-shard
-  /// peaks (shard_stats breaks it down) — the worst case when every
-  /// shard hits its high-water mark simultaneously, still
-  /// O(front + shards × chunk); the merge stage holds at most the shard
-  /// fronts, which the same bound covers.
+  /// High-water mark of simultaneously materialised candidate plans: SUM
+  /// of the per-shard peaks (shard_stats breaks it down) — the worst case
+  /// when every shard hits its high-water mark simultaneously. That is
+  /// O(front + threads × chunk) for kExhaustivePareto and the whole
+  /// candidate set for the table-consuming algorithms.
   size_t peak_resident_candidates = 0;
-  /// Per-shard pipeline metrics of the sharded OptimizeStreaming path;
-  /// empty for the materialized paths and the single-stream
-  /// (shards == 1) streaming path.
+  /// Per-shard pipeline metrics, one row per shard.
   std::vector<MoqpShardStats> shard_stats;
 
   const QueryPlan& chosen_plan() const { return pareto_plans[chosen]; }
@@ -160,163 +109,57 @@ struct MoqpResult {
 /// plan with BestInPareto (Algorithm 2) under the user policy.
 class MultiObjectiveOptimizer {
  public:
-  /// Predicts the cost vector of one annotated physical plan.
-  using CostPredictor = std::function<StatusOr<Vector>(const QueryPlan&)>;
-
-  /// Scores a batch of candidates at once: `features` holds one extracted
-  /// feature row per candidate (ires/features.h layout) and the predictor
-  /// fills *costs with one row per feature row, one column per metric.
-  /// Must be a pure function of the features — the batched pipeline reads
-  /// plans only through ExtractFeatures, which is also what makes the
-  /// prediction cache sound for it.
-  using BatchCostPredictor =
-      std::function<Status(const Matrix& features, Matrix* costs)>;
+  /// Scores one chunk of candidate plans: fills *costs with one row per
+  /// plan (in span order) and one column per metric. Called once per
+  /// enumeration chunk, concurrently from the shard pipelines when
+  /// MoqpOptions::threads != 1.
+  using CostPredictor =
+      std::function<Status(std::span<const QueryPlan> plans, Matrix* costs)>;
 
   MultiObjectiveOptimizer(const Federation* federation,
                           const Catalog* catalog,
                           MoqpOptions options = MoqpOptions());
 
-  /// \param snapshot_epoch epoch of the EstimatorSnapshot the predictor is
-  /// pinned to. Cached costs are keyed by it, so an optimization running
-  /// against epoch N never reuses costs predicted at any other epoch —
-  /// required for a shared cache under concurrent Record traffic. Callers
-  /// with an unversioned predictor keep the default 0.
-  /// \param cache_namespace extra prediction-cache key component for
-  /// predictors that are feature-pure only within a context (e.g. a
-  /// tenant's history scope — two tenants pinned to the SAME epoch map
-  /// one feature vector to different costs, so a multi-tenant service
-  /// must pass a per-scope namespace or tenants poison each other's
-  /// cached estimates). Callers with one global predictor keep 0.
+  /// The one MOQP pipeline. The plan space of `logical` is partitioned
+  /// into options.threads shards; each shard enumerates its plans in
+  /// options.chunk_size chunks, costs every chunk with one `predictor`
+  /// call, and folds the costed chunk:
+  ///  - kExhaustivePareto folds the chunk's own front into a
+  ///    sequence-keyed online Pareto archive (O(front + chunk) memory);
+  ///  - kWsm, kNsga2 and kNsgaG append every (sequence, cost, plan) row,
+  ///    since WSM normalises over the full candidate set and the NSGA
+  ///    variants evolve over the full cost table.
+  /// The shard archives are tree-merged and every result is put back in
+  /// serial enumeration order, so the front and the Algorithm 2 choice are
+  /// identical at any threads/chunk_size setting.
+  ///
+  /// Every predicted cost must be finite: a NaN or infinite entry fails
+  /// the call with InvalidArgument naming the candidate's sequence number
+  /// (its 0-based index in PlanEnumerator::EnumeratePhysical order). When
+  /// several candidates fail, the error of the lowest sequence is
+  /// reported, at any thread count.
   StatusOr<MoqpResult> Optimize(const QueryPlan& logical,
                                 const CostPredictor& predictor,
-                                const QueryPolicy& policy,
-                                uint64_t snapshot_epoch = 0,
-                                uint64_t cache_namespace = 0) const;
-
-  /// Batched pipeline: enumerate, extract every candidate's features once
-  /// into a single SoA matrix (stable candidate order), score
-  /// options.batch_size-row chunks concurrently through `predictor`, then
-  /// run Pareto extraction and Algorithm 2 exactly as the per-plan path.
-  /// MoqpResult::predictor_calls counts scored *rows*, so the two paths
-  /// report comparable work.
-  StatusOr<MoqpResult> Optimize(const QueryPlan& logical,
-                                const BatchCostPredictor& predictor,
-                                const QueryPolicy& policy,
-                                uint64_t snapshot_epoch = 0,
-                                uint64_t cache_namespace = 0) const;
-
-  /// Streaming pipeline: enumerates candidates in
-  /// options.stream_chunk_size batches, scores each chunk through the
-  /// batched costing stage, and folds the chunk's Pareto survivors into
-  /// an online archive — peak memory O(front + chunk) instead of
-  /// O(all candidates), with a result identical to the materialized
-  /// batched Optimize. With options.shards != 1 the plan space is
-  /// partitioned and the whole pipeline runs once per shard concurrently,
-  /// the shard archives tree-merged and re-sequenced afterwards — still
-  /// bit-identical to the serial stream at any shard count. Only
-  /// kExhaustivePareto can be stream-folded; kWsm (whose scalarisation
-  /// min-max-normalises over the full candidate set) and the NSGA
-  /// variants (which evolve over the full cost table) transparently fall
-  /// back to the materialized path.
-  StatusOr<MoqpResult> OptimizeStreaming(const QueryPlan& logical,
-                                         const BatchCostPredictor& predictor,
-                                         const QueryPolicy& policy,
-                                         uint64_t snapshot_epoch = 0,
-                                         uint64_t cache_namespace = 0) const;
-
-  /// The feature-keyed prediction memo (populated only when
-  /// options.cache_predictions is set). Shared by copies of this optimizer
-  /// and persistent across Optimize calls, so repeated queries and policy
-  /// re-targeting reuse earlier estimates.
-  const FeatureCostCache& prediction_cache() const { return *cache_; }
-  void ClearPredictionCache() { cache_->Clear(); }
-
-  /// Publication hook for long-lived services: evicts prediction-cache
-  /// entries from every epoch other than the newly published one, so a
-  /// server's cache stays bounded by one epoch's working set instead of
-  /// accreting an entry set per feedback batch (cumulative evictions in
-  /// prediction_cache().pruned()). Register via
-  /// SnapshotPublisher::AddPublishListener; safe concurrently with running
-  /// optimizations — one still pinned to an older epoch only loses warm
-  /// entries and re-predicts. No-op when caching is off or epoch is 0.
-  void OnSnapshotPublished(uint64_t epoch) const;
+                                const QueryPolicy& policy) const;
 
  private:
-  struct PredictionStats {
-    size_t predictor_calls = 0;
-    size_t cache_hits = 0;
-    size_t cache_misses = 0;
-
-    /// Accumulates another stage's counters (streaming folds one per
-    /// chunk; the materialized paths fold exactly one).
-    void MergeFrom(const PredictionStats& other) {
-      predictor_calls += other.predictor_calls;
-      cache_hits += other.cache_hits;
-      cache_misses += other.cache_misses;
-    }
-
-    /// Copies the aggregated counters into a result — the single point
-    /// every pipeline reports through, so the scalar, batched and
-    /// streaming paths can never drift apart in how they account.
-    void ApplyTo(MoqpResult* result, uint64_t snapshot_epoch) const {
-      result->predictor_calls = predictor_calls;
-      result->cache_hits = cache_hits;
-      result->cache_misses = cache_misses;
-      result->snapshot_epoch = snapshot_epoch;
-    }
-  };
-
-  /// Predicts every candidate's cost vector, in candidate order, using
-  /// options.threads concurrent chunks and (optionally) the feature cache
-  /// at `epoch`.
-  StatusOr<std::vector<Vector>> PredictCandidateCosts(
-      const std::vector<QueryPlan>& plans, const CostPredictor& predictor,
-      size_t arity, uint64_t epoch, uint64_t cache_namespace,
-      PredictionStats* stats) const;
-
-  /// Batched variant: one ExtractFeatures pass over all candidates, then
-  /// chunked matrix scoring (feature-deduplicated and cache-filtered when
-  /// options.cache_predictions is set). `threads` is the inner
-  /// parallelism of the extraction and scoring stages — the materialized
-  /// paths pass options.threads, while shard pipelines pass 1 because the
-  /// shard fan-out already owns the pool's workers.
-  StatusOr<std::vector<Vector>> PredictCandidateCostsBatched(
-      const std::vector<QueryPlan>& plans,
-      const BatchCostPredictor& predictor, size_t arity, uint64_t epoch,
-      uint64_t cache_namespace, size_t threads,
-      PredictionStats* stats) const;
-
-  /// The shards != 1 arm of OptimizeStreaming: partitions the plan space,
-  /// runs one enumerate→cost→fold pipeline per shard on the thread pool,
-  /// tree-merges the shard archives and restores serial arrival order via
-  /// the plans' global sequence numbers.
-  StatusOr<MoqpResult> OptimizeShardedStreaming(
-      const PlanEnumerator& enumerator, const QueryPlan& logical,
-      const BatchCostPredictor& predictor, const QueryPolicy& policy,
-      size_t chunk_size, size_t num_shards, uint64_t snapshot_epoch,
-      uint64_t cache_namespace) const;
-
-  /// Drops cache entries from epochs other than `snapshot_epoch`. Driven
-  /// by snapshot publication (OnSnapshotPublished) rather than at
-  /// optimization start: concurrent optimizations pinned to different
-  /// epochs would otherwise take turns evicting each other's warm
-  /// entries. No-op for epoch 0 and when caching is off.
-  void PruneStaleEpochs(uint64_t snapshot_epoch) const;
-
-  /// Dispatches to the configured MOQP algorithm over the predicted table.
-  StatusOr<MoqpResult> RunAlgorithm(std::vector<QueryPlan> plans,
-                                    std::vector<Vector> costs,
-                                    const QueryPolicy& policy) const;
-
-  StatusOr<MoqpResult> FromCandidates(std::vector<QueryPlan> plans,
-                                      std::vector<Vector> costs,
-                                      const QueryPolicy& policy) const;
+  /// Runs the table-consuming algorithms (kWsm, kNsga2, kNsgaG) over the
+  /// full candidate table in serial enumeration order.
+  StatusOr<MoqpResult> RunOnTable(std::vector<QueryPlan> plans,
+                                  std::vector<Vector> costs,
+                                  const QueryPolicy& policy) const;
 
   const Federation* federation_;
   const Catalog* catalog_;
   MoqpOptions options_;
-  std::shared_ptr<FeatureCostCache> cache_;
 };
+
+/// Adapts a per-plan cost function (e.g. a simulator oracle that prices a
+/// plan by its join shape, not only its features) to the chunked
+/// CostPredictor: calls `cost` once per plan, in order, and stacks the
+/// results. Every call must return the same number of metrics.
+MultiObjectiveOptimizer::CostPredictor PerPlanCostPredictor(
+    std::function<StatusOr<Vector>(const QueryPlan&)> cost);
 
 }  // namespace midas
 

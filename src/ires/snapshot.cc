@@ -96,18 +96,9 @@ std::shared_ptr<const EstimatorSnapshot> SnapshotPublisher::Acquire() const {
   // Acquire is const so any reader can pin; the dirty republish mutates
   // only publisher-internal state (conceptually a cache refresh).
   auto* self = const_cast<SnapshotPublisher*>(this);
-  std::shared_ptr<const EstimatorSnapshot> snapshot;
-  bool republished = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (dirty_) {
-      self->RepublishAllLocked();
-      republished = true;
-    }
-    snapshot = published_;
-  }
-  if (republished) NotifyPublished(snapshot->epoch());
-  return snapshot;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (dirty_) self->RepublishAllLocked();
+  return published_;
 }
 
 uint64_t SnapshotPublisher::epoch() const {
@@ -124,48 +115,23 @@ Status SnapshotPublisher::Record(const std::string& scope,
 
 Status SnapshotPublisher::RecordBatch(std::vector<ScopedObservation> batch,
                                       uint64_t* published_epoch) {
+  std::lock_guard<std::mutex> lock(mutex_);
   Status first_error = Status::OK();
-  uint64_t epoch = 0;
-  bool published = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::string> touched;
-    for (ScopedObservation& entry : batch) {
-      std::string scope = std::move(entry.scope);
-      Status st = live_.Record(scope, std::move(entry.observation));
-      // A failed Add still creates the scope in the live History; the
-      // snapshot mirrors that so both paths answer identically afterwards.
-      touched.push_back(std::move(scope));
-      if (!st.ok()) {
-        first_error = std::move(st);
-        break;
-      }
+  std::vector<std::string> touched;
+  for (ScopedObservation& entry : batch) {
+    std::string scope = std::move(entry.scope);
+    Status st = live_.Record(scope, std::move(entry.observation));
+    // A failed Add still creates the scope in the live History; the
+    // snapshot mirrors that so both paths answer identically afterwards.
+    touched.push_back(std::move(scope));
+    if (!st.ok()) {
+      first_error = std::move(st);
+      break;
     }
-    if (!touched.empty() || dirty_) {
-      PublishLocked(touched);
-      published = true;
-    }
-    epoch = published_->epoch();
   }
-  if (published_epoch != nullptr) *published_epoch = epoch;
-  if (published) NotifyPublished(epoch);
+  if (!touched.empty() || dirty_) PublishLocked(touched);
+  if (published_epoch != nullptr) *published_epoch = published_->epoch();
   return first_error;
-}
-
-void SnapshotPublisher::AddPublishListener(PublishListener listener) {
-  std::lock_guard<std::mutex> lock(listeners_mutex_);
-  listeners_.push_back(std::move(listener));
-}
-
-void SnapshotPublisher::NotifyPublished(uint64_t epoch) const {
-  // Snapshot the listener list so a listener registering another listener
-  // cannot deadlock; invocation happens outside every publisher lock.
-  std::vector<PublishListener> listeners;
-  {
-    std::lock_guard<std::mutex> lock(listeners_mutex_);
-    listeners = listeners_;
-  }
-  for (const PublishListener& listener : listeners) listener(epoch);
 }
 
 void SnapshotPublisher::PublishLocked(

@@ -128,22 +128,6 @@ class SnapshotPublisher {
   /// Epoch of the currently published snapshot.
   uint64_t epoch() const;
 
-  /// \brief Publication hook: `listener` runs after every successful
-  /// publication with the new snapshot's epoch — the attachment point for
-  /// epoch-keyed caches that must stay bounded in a long-lived server
-  /// (e.g. FeatureCostCache::PruneOtherEpochs on the optimizer's
-  /// prediction memo).
-  ///
-  /// Listeners are invoked OUTSIDE the publisher mutex, on whichever
-  /// thread triggered the publication (the Record/RecordBatch writer, or
-  /// the Acquire reader that folds a dirty MutableHistory into a fresh
-  /// epoch). They may Acquire() and may touch their own locks, but must
-  /// not Record — publication from inside a publication listener would
-  /// recurse. Listeners cannot be removed; register for the publisher's
-  /// lifetime.
-  using PublishListener = std::function<void(uint64_t epoch)>;
-  void AddPublishListener(PublishListener listener);
-
   /// One scoped observation of a Record batch.
   struct ScopedObservation {
     std::string scope;
@@ -183,19 +167,12 @@ class SnapshotPublisher {
   /// Caller holds mutex_.
   void RepublishAllLocked();
 
-  /// Runs every registered listener with `epoch`. Caller must NOT hold
-  /// mutex_ (listeners may Acquire).
-  void NotifyPublished(uint64_t epoch) const;
-
   mutable std::mutex mutex_;  // guards live_, published_, dirty_
   History live_;
   std::shared_ptr<const std::vector<std::string>> feature_names_;
   std::shared_ptr<const std::vector<std::string>> metric_names_;
   std::shared_ptr<const EstimatorSnapshot> published_;
   bool dirty_ = false;
-
-  mutable std::mutex listeners_mutex_;  // guards listeners_ only
-  std::vector<PublishListener> listeners_;
 };
 
 }  // namespace midas

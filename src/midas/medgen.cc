@@ -36,7 +36,8 @@ std::string MakeDate(Rng* rng, int start_year, int span_years) {
   const int year = start_year + static_cast<int>(rng->Index(span_years));
   const int month = 1 + static_cast<int>(rng->Index(12));
   const int day = 1 + static_cast<int>(rng->Index(28));
-  char buf[32];
+  // Sized for three full-width ints so the format can never truncate.
+  char buf[40];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", year, month, day);
   return buf;
 }
@@ -91,7 +92,10 @@ StatusOr<MedRow> MedGen::GenerateRow(const std::string& table,
     // ICD-10-like synthetic code: letter + 2 digits + optional decimal.
     std::string code(1, static_cast<char>('A' + rng.Index(26)));
     code += std::to_string(10 + rng.Index(90));
-    if (rng.Bernoulli(0.5)) code += "." + std::to_string(rng.Index(10));
+    if (rng.Bernoulli(0.5)) {
+      code += '.';
+      code += std::to_string(rng.Index(10));
+    }
     row.emplace_back(std::move(code));
   } else if (table == "ImagingStudy") {
     row.emplace_back(static_cast<int64_t>(index + 1));  // StudyUID

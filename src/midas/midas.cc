@@ -1,7 +1,5 @@
 #include "midas/midas.h"
 
-#include <functional>
-
 #include "ires/features.h"
 #include "query/enumerator.h"
 
@@ -23,14 +21,6 @@ MidasSystem::MidasSystem(Federation federation, Catalog catalog,
                                            modelling_.get());
   optimizer_ = std::make_unique<MultiObjectiveOptimizer>(
       &federation_, &catalog_, options_.moqp);
-  // Long-lived-service hygiene: each published feedback epoch immediately
-  // evicts prediction-cache entries keyed to superseded epochs, so the
-  // cache footprint tracks one epoch's working set no matter how long the
-  // process serves (no-op unless moqp.cache_predictions is on).
-  modelling_->publisher().AddPublishListener(
-      [optimizer = optimizer_.get()](uint64_t epoch) {
-        optimizer->OnSnapshotPublished(epoch);
-      });
 }
 
 Status MidasSystem::Bootstrap(const std::string& scope,
@@ -47,60 +37,32 @@ Status MidasSystem::Bootstrap(const std::string& scope,
   return Status::OK();
 }
 
-StatusOr<Vector> MidasSystem::PredictPlanCosts(const std::string& scope,
-                                               const QueryPlan& plan) const {
-  MIDAS_ASSIGN_OR_RETURN(Vector features, ExtractFeatures(federation_, plan));
-  return modelling_->Predict(scope, features, options_.estimator);
-}
-
-StatusOr<Vector> MidasSystem::PredictPlanCosts(
-    const EstimatorSnapshot& snapshot, const std::string& scope,
-    const QueryPlan& plan) const {
-  MIDAS_ASSIGN_OR_RETURN(Vector features, ExtractFeatures(federation_, plan));
-  return modelling_->Predict(snapshot, scope, features, options_.estimator);
-}
-
 StatusOr<QueryOutcome> MidasSystem::OptimizeQuery(
     const std::shared_ptr<const EstimatorSnapshot>& snapshot,
     const QueryRequest& request) const {
   if (snapshot == nullptr) {
     return Status::InvalidArgument("OptimizeQuery needs a pinned snapshot");
   }
-  // Prediction-cache namespace: costs are a function of (features, epoch)
-  // only WITHIN one history scope — concurrent tenants pinned to the same
-  // epoch must not read each other's cached estimates.
-  const uint64_t cache_namespace = std::hash<std::string>{}(request.scope);
+  // The one place that knows the estimator's feature layout: each chunk
+  // of candidates becomes a feature matrix scored in one batch against the
+  // pinned snapshot.
+  const EstimatorSnapshot& pinned = *snapshot;
+  MultiObjectiveOptimizer::CostPredictor predictor =
+      [this, &request, &pinned](std::span<const QueryPlan> plans,
+                                Matrix* costs) -> Status {
+    MIDAS_ASSIGN_OR_RETURN(Matrix features,
+                           ExtractFeatureMatrix(federation_, plans));
+    MIDAS_ASSIGN_OR_RETURN(*costs,
+                           modelling_->PredictBatch(pinned, request.scope,
+                                                    features,
+                                                    options_.estimator));
+    return Status::OK();
+  };
   QueryOutcome outcome;
-  if (options_.moqp.shards != 1) {
-    // Sharded streaming: disjoint slices of the plan space run whole
-    // enumerate→cost→fold pipelines concurrently, costing SoA feature
-    // batches against the pinned snapshot. Equivalent to the serial path
-    // below at a fraction of the wall clock on multi-core hosts:
-    // bit-identical when the scalar kernel tier is pinned
-    // (MIDAS_FORCE_SCALAR), within the SIMD layer's 1e-12 relative drift
-    // budget otherwise (GEMM tiles vs per-row dots reassociate the sums).
-    MultiObjectiveOptimizer::BatchCostPredictor batch_predictor =
-        [this, &request, &snapshot](const Matrix& features,
-                                    Matrix* costs) -> Status {
-      MIDAS_ASSIGN_OR_RETURN(
-          *costs, modelling_->PredictBatch(*snapshot, request.scope, features,
-                                           options_.estimator));
-      return Status::OK();
-    };
-    MIDAS_ASSIGN_OR_RETURN(
-        outcome.moqp,
-        optimizer_->OptimizeStreaming(request.logical, batch_predictor,
-                                      request.policy, snapshot->epoch(),
-                                      cache_namespace));
-  } else {
-    auto predictor = [this, &request, &snapshot](const QueryPlan& plan) {
-      return PredictPlanCosts(*snapshot, request.scope, plan);
-    };
-    MIDAS_ASSIGN_OR_RETURN(
-        outcome.moqp,
-        optimizer_->Optimize(request.logical, predictor, request.policy,
-                             snapshot->epoch(), cache_namespace));
-  }
+  MIDAS_ASSIGN_OR_RETURN(
+      outcome.moqp,
+      optimizer_->Optimize(request.logical, predictor, request.policy));
+  outcome.moqp.snapshot_epoch = pinned.epoch();
   outcome.predicted = outcome.moqp.chosen_costs();
   outcome.estimator = EstimatorName(options_.estimator);
   return outcome;
@@ -110,9 +72,8 @@ StatusOr<QueryOutcome> MidasSystem::RunQuery(const std::string& scope,
                                              const QueryPlan& logical,
                                              const QueryPolicy& policy) {
   // Pin one estimator snapshot for the whole optimization: every candidate
-  // cost comes from the same epoch, and the cache (if enabled) is keyed by
-  // it, so feedback recorded concurrently can never skew this query's
-  // Pareto front.
+  // cost comes from the same epoch, so feedback recorded concurrently can
+  // never skew this query's Pareto front.
   QueryRequest request{scope, logical, policy};
   MIDAS_ASSIGN_OR_RETURN(
       QueryOutcome outcome,

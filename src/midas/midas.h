@@ -83,6 +83,11 @@ class MidasSystem {
   /// \brief The read-only half of RunQuery: enumerate → cost → Pareto →
   /// Algorithm 2 for `request`, predicting every candidate against the
   /// pinned `snapshot` (whose epoch lands in MoqpResult::snapshot_epoch).
+  /// Each enumeration chunk is costed in one batch: ExtractFeatures per
+  /// plan, then Modelling::PredictBatch against the snapshot. The same
+  /// pipeline runs at every options.moqp.threads value, with the same
+  /// outcome: bitwise on the scalar kernel tier, within the SIMD layer's
+  /// 1e-12 relative budget otherwise (chunk shapes change GEMM rounding).
   /// Fills moqp/predicted/estimator; `actual` stays zero — nothing
   /// executes and no feedback is recorded.
   ///
@@ -90,8 +95,7 @@ class MidasSystem {
   /// same or different snapshots — the concurrency point the QueryService
   /// executor slots fan out over. (The DREAM default and the deterministic
   /// BML selector are both pure functions of the snapshot's frozen
-  /// windows; the shared prediction cache is epoch-keyed and
-  /// lock-striped.)
+  /// windows.)
   StatusOr<QueryOutcome> OptimizeQuery(
       const std::shared_ptr<const EstimatorSnapshot>& snapshot,
       const QueryRequest& request) const;
@@ -102,11 +106,6 @@ class MidasSystem {
   /// same (features, model, window) state even while feedback from other
   /// queries streams in; the measurement is then recorded back into the
   /// scope's history (adaptive feedback), publishing the next epoch.
-  /// With options.moqp.shards != 1 the optimization runs the sharded
-  /// streaming pipeline instead — disjoint plan-space shards costing SoA
-  /// batches concurrently against the same pinned snapshot — with a
-  /// bit-identical outcome (per-shard metrics in
-  /// MoqpResult::shard_stats).
   StatusOr<QueryOutcome> RunQuery(const std::string& scope,
                                   const QueryPlan& logical,
                                   const QueryPolicy& policy);
@@ -117,18 +116,6 @@ class MidasSystem {
   /// state, so concurrent callers must serialize their executions (the
   /// QueryService feedback path does).
   Scheduler& scheduler() { return *scheduler_; }
-
-  /// Predicts plan costs for `scope` with the configured estimator —
-  /// exposed for experiments that bypass execution. Reads the live
-  /// history (single-threaded convenience path).
-  StatusOr<Vector> PredictPlanCosts(const std::string& scope,
-                                    const QueryPlan& plan) const;
-
-  /// Snapshot-pinned variant: predicts against `snapshot` regardless of
-  /// feedback recorded after it was acquired.
-  StatusOr<Vector> PredictPlanCosts(const EstimatorSnapshot& snapshot,
-                                    const std::string& scope,
-                                    const QueryPlan& plan) const;
 
  private:
   Federation federation_;

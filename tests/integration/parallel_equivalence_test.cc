@@ -1,9 +1,11 @@
-// Parallel == serial equivalence: every parallel knob added to the MOQP
-// pipeline (cost prediction, NSGA offspring evaluation, bagging ensemble
-// training, cached prediction) must produce bit-identical results at any
-// thread count, and across repeated runs at the same thread count.
+// Parallel == serial equivalence: every parallel knob of the MOQP pipeline
+// (concurrent enumerate → cost → fold pipelines, NSGA offspring
+// evaluation, bagging ensemble training) must produce bit-identical
+// results at any thread count, and across repeated runs at the same
+// thread count.
 
-#include <atomic>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -83,12 +85,11 @@ SimulatorOptions Deterministic() {
 }
 
 MultiObjectiveOptimizer::CostPredictor OraclePredictor(
-    ExecutionSimulator* sim, std::atomic<size_t>* calls = nullptr) {
-  return [sim, calls](const QueryPlan& plan) -> StatusOr<Vector> {
-    if (calls != nullptr) calls->fetch_add(1, std::memory_order_relaxed);
+    ExecutionSimulator* sim) {
+  return PerPlanCostPredictor([sim](const QueryPlan& plan) -> StatusOr<Vector> {
     MIDAS_ASSIGN_OR_RETURN(Measurement m, sim->ExpectedCostAt(plan, 0));
     return Vector{m.seconds, m.dollars};
-  };
+  });
 }
 
 void ExpectSameResult(const MoqpResult& a, const MoqpResult& b,
@@ -258,68 +259,13 @@ TEST(ParallelEquivalenceTest, BaggingEnsembleBitIdentical) {
   }
 }
 
-TEST(ParallelEquivalenceTest, CachedPredictionsMatchUncached) {
-  Environment env = MakeEnvironment();
-  ExecutionSimulator sim(&env.federation, &env.catalog, Deterministic());
-  QueryPolicy policy;
-  policy.weights = {0.5, 0.5};
-
-  MultiObjectiveOptimizer uncached(&env.federation, &env.catalog);
-  auto baseline =
-      uncached.Optimize(LogicalJoin(), OraclePredictor(&sim), policy);
-  ASSERT_TRUE(baseline.ok());
-
-  // The deterministic simulator's expected cost depends only on the plan's
-  // extracted features for this single-join query, so caching is sound
-  // here and must not change any result.
-  MoqpOptions options;
-  options.threads = 2;
-  options.cache_predictions = true;
-  MultiObjectiveOptimizer cached(&env.federation, &env.catalog, options);
-
-  std::atomic<size_t> cold_calls{0};
-  auto cold =
-      cached.Optimize(LogicalJoin(), OraclePredictor(&sim, &cold_calls),
-                      policy);
-  ASSERT_TRUE(cold.ok());
-  ExpectSameResult(*baseline, *cold, "cold cache");
-  // Equivalent QEPs collapse onto shared feature vectors: fewer predictor
-  // calls than candidates, and the result reports the collapse.
-  EXPECT_EQ(cold->predictor_calls, cold_calls.load());
-  EXPECT_LT(cold->predictor_calls, cold->candidates_examined);
-  EXPECT_EQ(cold->cache_hits, 0u);
-  EXPECT_EQ(cold->cache_misses, cold->predictor_calls);
-
-  // Second run on the same optimizer: everything is a hit.
-  std::atomic<size_t> warm_calls{0};
-  auto warm =
-      cached.Optimize(LogicalJoin(), OraclePredictor(&sim, &warm_calls),
-                      policy);
-  ASSERT_TRUE(warm.ok());
-  ExpectSameResult(*baseline, *warm, "warm cache");
-  EXPECT_EQ(warm_calls.load(), 0u);
-  EXPECT_EQ(warm->predictor_calls, 0u);
-  EXPECT_EQ(warm->cache_misses, 0u);
-  EXPECT_GT(warm->cache_hits, 0u);
-  EXPECT_EQ(cached.prediction_cache().size(), cold->cache_misses);
-
-  // Clearing the cache forces fresh predictions again.
-  cached.ClearPredictionCache();
-  std::atomic<size_t> cleared_calls{0};
-  auto cleared =
-      cached.Optimize(LogicalJoin(), OraclePredictor(&sim, &cleared_calls),
-                      policy);
-  ASSERT_TRUE(cleared.ok());
-  ExpectSameResult(*baseline, *cleared, "cleared cache");
-  EXPECT_EQ(cleared_calls.load(), cold_calls.load());
-}
-
 TEST(ParallelEquivalenceTest, BatchedCostingMatchesScalarSerial) {
-  // The batched costing stage (SoA feature matrix -> chunked PredictBatch)
-  // must reproduce the serial scalar pipeline bit-for-bit: same front, same
-  // chosen plan, at every thread count, batch size, and cache setting. The
-  // predictor is a captured DREAM estimate, whose batch evaluation is
-  // bit-identical to its per-row Predict by construction.
+  // Costing whole chunks from their feature matrix (the batched adapter
+  // OptimizeQuery uses) must reproduce per-plan costing through
+  // PerPlanCostPredictor bit-for-bit: same front, same chosen plan, at
+  // every thread count and chunk size. The predictor is a captured DREAM
+  // estimate, whose batch evaluation is bit-identical to its per-row
+  // Predict by construction.
   Environment env = MakeEnvironment();
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
@@ -348,14 +294,17 @@ TEST(ParallelEquivalenceTest, BatchedCostingMatchesScalarSerial) {
   ASSERT_TRUE(est.ok());
 
   const Federation* federation = &env.federation;
-  auto scalar_predictor =
+  const auto scalar_predictor = PerPlanCostPredictor(
       [federation, &est](const QueryPlan& plan) -> StatusOr<Vector> {
-    MIDAS_ASSIGN_OR_RETURN(Vector features,
-                           ExtractFeatures(*federation, plan));
-    return est->Predict(features);
-  };
-  MultiObjectiveOptimizer::BatchCostPredictor batch_predictor =
-      [&est](const Matrix& features, Matrix* costs) -> Status {
+        MIDAS_ASSIGN_OR_RETURN(Vector features,
+                               ExtractFeatures(*federation, plan));
+        return est->Predict(features);
+      });
+  const MultiObjectiveOptimizer::CostPredictor batch_predictor =
+      [federation, &est](std::span<const QueryPlan> plans,
+                         Matrix* costs) -> Status {
+    MIDAS_ASSIGN_OR_RETURN(Matrix features,
+                           ExtractFeatureMatrix(*federation, plans));
     MIDAS_ASSIGN_OR_RETURN(*costs, est->PredictBatch(features));
     return Status::OK();
   };
@@ -367,50 +316,40 @@ TEST(ParallelEquivalenceTest, BatchedCostingMatchesScalarSerial) {
   auto baseline = serial.Optimize(LogicalJoin(), scalar_predictor, policy);
   ASSERT_TRUE(baseline.ok());
 
-  for (size_t threads : kThreadCounts) {
-    for (size_t batch_size : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}}) {
-      for (bool cache : {false, true}) {
-        MoqpOptions options;
-        options.threads = threads;
-        options.batch_size = batch_size;
-        options.cache_predictions = cache;
-        MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
-                                          options);
-        auto result = optimizer.Optimize(LogicalJoin(), batch_predictor,
-                                         policy);
-        const std::string label = "threads=" + std::to_string(threads) +
-                                  " batch=" + std::to_string(batch_size) +
-                                  " cache=" + std::to_string(cache);
-        ASSERT_TRUE(result.ok()) << label;
-        ExpectSameResult(*baseline, *result, label);
-        if (cache) {
-          // Deduped: each distinct feature vector scored at most once.
-          EXPECT_LE(result->predictor_calls, result->candidates_examined)
-              << label;
-          EXPECT_EQ(result->cache_misses, result->predictor_calls) << label;
-        } else {
-          EXPECT_EQ(result->predictor_calls, result->candidates_examined)
-              << label;
-        }
-      }
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    for (size_t chunk : {size_t{0}, size_t{1}, size_t{7}, size_t{16}}) {
+      MoqpOptions options;
+      options.threads = threads;
+      options.chunk_size = chunk;
+      MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
+                                        options);
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " chunk=" + std::to_string(chunk);
+      auto batched = optimizer.Optimize(LogicalJoin(), batch_predictor, policy);
+      ASSERT_TRUE(batched.ok()) << label;
+      ExpectSameResult(*baseline, *batched, label);
+      auto scalar = optimizer.Optimize(LogicalJoin(), scalar_predictor, policy);
+      ASSERT_TRUE(scalar.ok()) << label;
+      ExpectSameResult(*baseline, *scalar, label + " per-plan");
     }
   }
 }
 
 TEST(ParallelEquivalenceTest, StreamingMatchesMaterializedBatched) {
-  // The streaming pipeline (chunked enumeration -> batched costing ->
-  // online Pareto archive) must reproduce the materialized batched path
-  // bit-for-bit at every thread count, stream chunk size, and cache
-  // setting, while never holding more candidates than the materialized
-  // run does.
+  // Chunked costing and folding (chunked enumeration -> batched costing ->
+  // online Pareto archive) must reproduce the single-chunk, materialized
+  // run bit-for-bit at every thread count and chunk size, while never
+  // holding more candidates than the materialized run does.
   Environment env = MakeEnvironment();
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
 
-  // Pure function of the feature rows, so it is thread-safe and sound to
-  // cache.
-  MultiObjectiveOptimizer::BatchCostPredictor predictor =
-      [](const Matrix& features, Matrix* costs) -> Status {
+  // Pure function of the feature rows, so it is thread-safe.
+  const Federation* federation = &env.federation;
+  const MultiObjectiveOptimizer::CostPredictor predictor =
+      [federation](std::span<const QueryPlan> plans, Matrix* costs) -> Status {
+    MIDAS_ASSIGN_OR_RETURN(Matrix features,
+                           ExtractFeatureMatrix(*federation, plans));
     *costs = Matrix(features.rows(), 2, 0.0);
     for (size_t r = 0; r < features.rows(); ++r) {
       double time = 3.0;
@@ -427,36 +366,33 @@ TEST(ParallelEquivalenceTest, StreamingMatchesMaterializedBatched) {
 
   MoqpOptions serial_options;
   serial_options.threads = 1;
+  serial_options.chunk_size = 100000;
   MultiObjectiveOptimizer serial(&env.federation, &env.catalog,
                                  serial_options);
   auto baseline = serial.Optimize(LogicalJoin(), predictor, policy);
   ASSERT_TRUE(baseline.ok());
+  EXPECT_EQ(baseline->peak_resident_candidates,
+            baseline->candidates_examined);
 
-  for (size_t threads : kThreadCounts) {
-    for (size_t chunk : {size_t{0}, size_t{1}, size_t{7}, size_t{1024}}) {
-      for (bool cache : {false, true}) {
-        MoqpOptions options;
-        options.threads = threads;
-        options.stream_chunk_size = chunk;
-        options.batch_size = 16;
-        options.cache_predictions = cache;
-        MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
-                                          options);
-        auto result =
-            optimizer.OptimizeStreaming(LogicalJoin(), predictor, policy);
-        const std::string label = "threads=" + std::to_string(threads) +
-                                  " chunk=" + std::to_string(chunk) +
-                                  " cache=" + std::to_string(cache);
-        ASSERT_TRUE(result.ok()) << label;
-        ExpectSameResult(*baseline, *result, label);
-        EXPECT_LE(result->peak_resident_candidates,
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    for (size_t chunk : {size_t{1}, size_t{7}, size_t{16}}) {
+      MoqpOptions options;
+      options.threads = threads;
+      options.chunk_size = chunk;
+      MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
+                                        options);
+      auto result = optimizer.Optimize(LogicalJoin(), predictor, policy);
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " chunk=" + std::to_string(chunk);
+      ASSERT_TRUE(result.ok()) << label;
+      ExpectSameResult(*baseline, *result, label);
+      EXPECT_LE(result->peak_resident_candidates,
+                baseline->peak_resident_candidates)
+          << label;
+      if (chunk == 1 && threads == 1) {
+        EXPECT_LT(result->peak_resident_candidates,
                   baseline->peak_resident_candidates)
             << label;
-        if (chunk == 1) {
-          EXPECT_LT(result->peak_resident_candidates,
-                    baseline->peak_resident_candidates)
-              << label;
-        }
       }
     }
   }
@@ -468,10 +404,11 @@ TEST(ParallelEquivalenceTest, BatchedPredictorErrorsSurface) {
   policy.weights = {0.5, 0.5};
   MoqpOptions options;
   options.threads = 4;
+  options.chunk_size = 7;
   MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog, options);
 
-  MultiObjectiveOptimizer::BatchCostPredictor failing =
-      [](const Matrix&, Matrix*) -> Status {
+  const MultiObjectiveOptimizer::CostPredictor failing =
+      [](std::span<const QueryPlan>, Matrix*) -> Status {
     return Status::InvalidArgument("predictor offline");
   };
   auto failed = optimizer.Optimize(LogicalJoin(), failing, policy);
@@ -479,17 +416,17 @@ TEST(ParallelEquivalenceTest, BatchedPredictorErrorsSurface) {
   EXPECT_EQ(failed.status().message(), "predictor offline");
 
   // Wrong-sized batches are rejected rather than silently scattered.
-  MultiObjectiveOptimizer::BatchCostPredictor short_batch =
-      [](const Matrix& features, Matrix* costs) -> Status {
-    *costs = Matrix(features.rows() / 2, 2, 1.0);
+  const MultiObjectiveOptimizer::CostPredictor short_batch =
+      [](std::span<const QueryPlan> plans, Matrix* costs) -> Status {
+    *costs = Matrix(plans.size() / 2, 2, 1.0);
     return Status::OK();
   };
   EXPECT_FALSE(optimizer.Optimize(LogicalJoin(), short_batch, policy).ok());
 
   // Arity mismatches against the policy are rejected too.
-  MultiObjectiveOptimizer::BatchCostPredictor one_metric =
-      [](const Matrix& features, Matrix* costs) -> Status {
-    *costs = Matrix(features.rows(), 1, 1.0);
+  const MultiObjectiveOptimizer::CostPredictor one_metric =
+      [](std::span<const QueryPlan> plans, Matrix* costs) -> Status {
+    *costs = Matrix(plans.size(), 1, 1.0);
     return Status::OK();
   };
   EXPECT_FALSE(optimizer.Optimize(LogicalJoin(), one_metric, policy).ok());
@@ -502,9 +439,10 @@ TEST(ParallelEquivalenceTest, ParallelFirstErrorMatchesSerial) {
 
   // A predictor that fails on every call: serial and parallel must report
   // the same (first) error.
-  auto failing = [](const QueryPlan&) -> StatusOr<Vector> {
-    return Status::InvalidArgument("predictor offline");
-  };
+  const auto failing =
+      PerPlanCostPredictor([](const QueryPlan&) -> StatusOr<Vector> {
+        return Status::InvalidArgument("predictor offline");
+      });
   Status serial_status, parallel_status;
   {
     MoqpOptions options;

@@ -42,7 +42,10 @@ MidasSystem MakeSystem() {
   return MidasSystem(std::move(federation), std::move(catalog), options);
 }
 
-std::string TenantName(size_t t) { return "t" + std::to_string(t); }
+std::string TenantName(size_t t) {
+  const std::string index = std::to_string(t);
+  return "t" + index;
+}
 
 // Mixed traffic: each request leans on a different policy corner, so
 // tenants exercise different Pareto picks against the shared snapshots.

@@ -1,10 +1,11 @@
-// Sharded == serial equivalence: the sharded OptimizeStreaming pipeline
-// (partitioned enumeration -> per-shard costing and Pareto folding ->
-// tree merge -> sequence restore) must be bit-identical to the
-// single-stream path and the materialized batched path at every shard
-// count, chunk size and cache setting — plus a ThreadSanitizer-visible
+// Sharded == serial equivalence: the MOQP pipeline at threads != 1
+// (partitioned enumeration -> per-shard costing and folding -> tree merge
+// -> sequence restore) must be bit-identical to the single serial
+// pipeline and to the single-chunk materialized run at every thread count
+// and chunk size, for every algorithm — plus a ThreadSanitizer-visible
 // stress that builds and merges shard archives concurrently.
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "ires/features.h"
 #include "ires/moo_optimizer.h"
 #include "optimizer/pareto_archive.h"
 
@@ -68,10 +70,13 @@ QueryPlan LogicalJoin() {
 }
 
 // Pure function of the feature rows with alternating-sign weights, so the
-// front is a genuine time/money trade-off: thread-safe and sound to
-// cache.
-MultiObjectiveOptimizer::BatchCostPredictor LinearPredictor() {
-  return [](const Matrix& features, Matrix* costs) -> Status {
+// front is a genuine time/money trade-off: thread-safe.
+MultiObjectiveOptimizer::CostPredictor LinearPredictor(
+    const Federation* federation) {
+  return [federation](std::span<const QueryPlan> plans,
+                      Matrix* costs) -> Status {
+    MIDAS_ASSIGN_OR_RETURN(Matrix features,
+                           ExtractFeatureMatrix(*federation, plans));
     *costs = Matrix(features.rows(), 2, 0.0);
     for (size_t r = 0; r < features.rows(); ++r) {
       double time = 3.0;
@@ -104,64 +109,55 @@ TEST(ShardEquivalenceTest, ShardedStreamingMatchesSerialStreaming) {
   Environment env = MakeEnvironment();
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
-  const auto predictor = LinearPredictor();
+  const auto predictor = LinearPredictor(&env.federation);
 
+  MoqpOptions materialized_options;
+  materialized_options.chunk_size = 100000;
+  MultiObjectiveOptimizer materialized_opt(&env.federation, &env.catalog,
+                                           materialized_options);
+  auto materialized =
+      materialized_opt.Optimize(LogicalJoin(), predictor, policy);
+  ASSERT_TRUE(materialized.ok());
   MoqpOptions serial_options;
+  serial_options.chunk_size = 7;
   MultiObjectiveOptimizer serial(&env.federation, &env.catalog,
                                  serial_options);
-  auto materialized = serial.Optimize(LogicalJoin(), predictor, policy);
-  ASSERT_TRUE(materialized.ok());
-  auto baseline = serial.OptimizeStreaming(LogicalJoin(), predictor, policy);
+  auto baseline = serial.Optimize(LogicalJoin(), predictor, policy);
   ASSERT_TRUE(baseline.ok());
   ExpectSameResult(*materialized, *baseline, "streaming baseline");
-  EXPECT_TRUE(baseline->shard_stats.empty());
+  EXPECT_EQ(baseline->shard_stats.size(), 1u);
 
-  for (size_t shards : {size_t{2}, size_t{3}, size_t{8}}) {
+  for (size_t threads : {size_t{2}, size_t{3}, size_t{8}}) {
     for (size_t chunk : {size_t{1}, size_t{7}, size_t{1024}}) {
-      for (bool cache : {false, true}) {
-        MoqpOptions options;
-        options.shards = shards;
-        options.stream_chunk_size = chunk;
-        options.batch_size = 16;
-        options.cache_predictions = cache;
-        MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
-                                          options);
-        const std::string label = "shards=" + std::to_string(shards) +
-                                  " chunk=" + std::to_string(chunk) +
-                                  " cache=" + std::to_string(cache);
-        // Repeated runs must agree too: scheduling order may shift the
-        // cache hit/miss split but never the result.
-        for (int rep = 0; rep < 2; ++rep) {
-          auto result =
-              optimizer.OptimizeStreaming(LogicalJoin(), predictor, policy);
-          ASSERT_TRUE(result.ok()) << label;
-          ExpectSameResult(*baseline, *result, label);
+      MoqpOptions options;
+      options.threads = threads;
+      options.chunk_size = chunk;
+      MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
+                                        options);
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " chunk=" + std::to_string(chunk);
+      // Repeated runs must agree too: scheduling order never leaks into
+      // the result.
+      for (int rep = 0; rep < 2; ++rep) {
+        auto result = optimizer.Optimize(LogicalJoin(), predictor, policy);
+        ASSERT_TRUE(result.ok()) << label;
+        ExpectSameResult(*baseline, *result, label);
 
-          // Per-shard stats: one row per shard, examined sums to the
-          // total, peaks sum to the aggregate, and the fronts cannot be
-          // larger than the shard's own candidate slice.
-          ASSERT_EQ(result->shard_stats.size(), shards) << label;
-          uint64_t examined = 0;
-          size_t peak = 0;
-          for (size_t s = 0; s < result->shard_stats.size(); ++s) {
-            const MoqpShardStats& stats = result->shard_stats[s];
-            EXPECT_EQ(stats.shard, s) << label;
-            examined += stats.candidates_examined;
-            peak += stats.peak_resident_candidates;
-            EXPECT_LE(stats.front_size, stats.candidates_examined) << label;
-          }
-          EXPECT_EQ(examined, result->candidates_examined) << label;
-          EXPECT_EQ(peak, result->peak_resident_candidates) << label;
-
-          // The aggregated counters keep the per-pipeline invariants.
-          if (cache) {
-            EXPECT_EQ(result->predictor_calls, result->cache_misses) << label;
-          } else {
-            EXPECT_EQ(result->predictor_calls, result->candidates_examined)
-                << label;
-            EXPECT_EQ(result->cache_hits + result->cache_misses, 0u) << label;
-          }
+        // Per-shard stats: one row per shard, examined sums to the
+        // total, peaks sum to the aggregate, and the fronts cannot be
+        // larger than the shard's own candidate slice.
+        ASSERT_EQ(result->shard_stats.size(), threads) << label;
+        uint64_t examined = 0;
+        size_t peak = 0;
+        for (size_t s = 0; s < result->shard_stats.size(); ++s) {
+          const MoqpShardStats& stats = result->shard_stats[s];
+          EXPECT_EQ(stats.shard, s) << label;
+          examined += stats.candidates_examined;
+          peak += stats.peak_resident_candidates;
+          EXPECT_LE(stats.front_size, stats.candidates_examined) << label;
         }
+        EXPECT_EQ(examined, result->candidates_examined) << label;
+        EXPECT_EQ(peak, result->peak_resident_candidates) << label;
       }
     }
   }
@@ -171,25 +167,23 @@ TEST(ShardEquivalenceTest, DefaultShardCountAndCapBehaveLikeSerial) {
   Environment env = MakeEnvironment();
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
-  const auto predictor = LinearPredictor();
+  const auto predictor = LinearPredictor(&env.federation);
 
-  // shards = 0 resolves to the process default; with a max_plans cap the
+  // threads = 0 resolves to the process default; with a max_plans cap the
   // sharded union must still be exactly the first capped serial plans.
   for (size_t max_plans : {size_t{20000}, size_t{37}}) {
     MoqpOptions serial_options;
     serial_options.enumerator.max_plans = max_plans;
     MultiObjectiveOptimizer serial(&env.federation, &env.catalog,
                                    serial_options);
-    auto baseline =
-        serial.OptimizeStreaming(LogicalJoin(), predictor, policy);
+    auto baseline = serial.Optimize(LogicalJoin(), predictor, policy);
     ASSERT_TRUE(baseline.ok());
 
     MoqpOptions options;
     options.enumerator.max_plans = max_plans;
-    options.shards = 0;
+    options.threads = 0;
     MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog, options);
-    auto result =
-        optimizer.OptimizeStreaming(LogicalJoin(), predictor, policy);
+    auto result = optimizer.Optimize(LogicalJoin(), predictor, policy);
     const std::string label = "max_plans=" + std::to_string(max_plans);
     ASSERT_TRUE(result.ok()) << label;
     ExpectSameResult(*baseline, *result, label);
@@ -197,24 +191,44 @@ TEST(ShardEquivalenceTest, DefaultShardCountAndCapBehaveLikeSerial) {
 }
 
 TEST(ShardEquivalenceTest, NonStreamingAlgorithmsIgnoreShards) {
+  // WSM, NSGA-II and NSGA-G consume the full cost table, reassembled in
+  // serial order from the shards' rows: their results must not depend on
+  // the thread count or the chunk size.
   Environment env = MakeEnvironment();
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
-  const auto predictor = LinearPredictor();
+  const auto predictor = LinearPredictor(&env.federation);
 
-  MoqpOptions wsm_serial;
-  wsm_serial.algorithm = MoqpAlgorithm::kWsm;
-  MultiObjectiveOptimizer serial(&env.federation, &env.catalog, wsm_serial);
-  auto baseline = serial.Optimize(LogicalJoin(), predictor, policy);
-  ASSERT_TRUE(baseline.ok());
+  for (MoqpAlgorithm algorithm :
+       {MoqpAlgorithm::kWsm, MoqpAlgorithm::kNsga2, MoqpAlgorithm::kNsgaG}) {
+    MoqpOptions serial_options;
+    serial_options.algorithm = algorithm;
+    serial_options.nsga2.population_size = 24;
+    serial_options.nsga2.generations = 12;
+    serial_options.nsga_g.population_size = 24;
+    serial_options.nsga_g.generations = 12;
+    MultiObjectiveOptimizer serial(&env.federation, &env.catalog,
+                                   serial_options);
+    auto baseline = serial.Optimize(LogicalJoin(), predictor, policy);
+    ASSERT_TRUE(baseline.ok()) << MoqpAlgorithmName(algorithm);
 
-  MoqpOptions wsm_sharded = wsm_serial;
-  wsm_sharded.shards = 8;
-  MultiObjectiveOptimizer sharded(&env.federation, &env.catalog, wsm_sharded);
-  auto result = sharded.OptimizeStreaming(LogicalJoin(), predictor, policy);
-  ASSERT_TRUE(result.ok());
-  ExpectSameResult(*baseline, *result, "wsm fallback");
-  EXPECT_TRUE(result->shard_stats.empty());
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      for (size_t chunk : {size_t{1}, size_t{7}, size_t{16}}) {
+        MoqpOptions options = serial_options;
+        options.threads = threads;
+        options.chunk_size = chunk;
+        MultiObjectiveOptimizer sharded(&env.federation, &env.catalog,
+                                        options);
+        auto result = sharded.Optimize(LogicalJoin(), predictor, policy);
+        const std::string label = MoqpAlgorithmName(algorithm) +
+                                  " threads=" + std::to_string(threads) +
+                                  " chunk=" + std::to_string(chunk);
+        ASSERT_TRUE(result.ok()) << label;
+        ExpectSameResult(*baseline, *result, label);
+        EXPECT_EQ(result->shard_stats.size(), threads) << label;
+      }
+    }
+  }
 }
 
 // ThreadSanitizer stress for the merge machinery itself: shard archives

@@ -1,9 +1,13 @@
-// Serial equivalence of the snapshot prediction path and the mutable live
-// path: at the same estimator state, pinning a snapshot must change NOTHING
-// about the numbers — predictions, diagnostics and whole optimizations are
-// bit-identical. This is what licenses routing concurrent readers through
-// snapshots without re-validating the paper's results.
+// Serial equivalence of the snapshot prediction path and the estimators
+// run directly on the scope's live TrainingSet: at the same estimator
+// state, pinning a snapshot must change NOTHING about the numbers —
+// predictions, diagnostics and whole optimizations are bit-identical to
+// Dream::PredictCosts / PredictCostsBatch / EstimateCostValue and
+// ModelSelector::SelectBest (with Modelling's non-negative clamp). This is
+// what licenses answering every prediction from snapshots without
+// re-validating the paper's results.
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +20,8 @@
 #include "ires/modelling.h"
 #include "ires/moo_optimizer.h"
 #include "ires/scheduler.h"
+#include "ml/model_selection.h"
+#include "regression/dream.h"
 
 namespace midas {
 namespace {
@@ -48,20 +54,93 @@ std::vector<EstimatorConfig> AllEstimators() {
   };
 }
 
+// The scope's writer-side TrainingSet, read through the const accessor so
+// the published snapshot is not marked stale.
+const TrainingSet& LiveSet(const Modelling& modelling,
+                           const std::string& scope) {
+  return *modelling.history().Get(scope).ValueOrDie();
+}
+
+// Modelling's clamp: costs are physical quantities, never negative.
+void Clamp(Matrix* costs) {
+  for (size_t r = 0; r < costs->rows(); ++r) {
+    for (size_t c = 0; c < costs->cols(); ++c) {
+      (*costs)(r, c) = std::max(0.0, (*costs)(r, c));
+    }
+  }
+}
+
+// BML straight on the TrainingSet: ModelSelector::SelectBest per metric
+// over the policy's window, with the candidates Modelling's default seed
+// registers.
+StatusOr<std::vector<SelectedModel>> SelectBmlDirect(const TrainingSet& set,
+                                                     WindowPolicy window) {
+  ModelSelector selector;
+  selector.AddDefaultCandidates(31);
+  const size_t m = WindowSizeFor(window, set.num_features() + 2, set.size());
+  MIDAS_ASSIGN_OR_RETURN(std::vector<Vector> xs, set.RecentFeatures(m));
+  std::vector<SelectedModel> models;
+  for (size_t metric = 0; metric < set.num_metrics(); ++metric) {
+    MIDAS_ASSIGN_OR_RETURN(Vector ys, set.RecentCosts(m, metric));
+    MIDAS_ASSIGN_OR_RETURN(SelectedModel model, selector.SelectBest(xs, ys));
+    models.push_back(std::move(model));
+  }
+  return models;
+}
+
+// The estimator of `config` run straight on the TrainingSet, batched.
+StatusOr<Matrix> PredictBatchDirect(const TrainingSet& set, const Matrix& X,
+                                    const EstimatorConfig& config) {
+  Matrix out;
+  if (config.kind == EstimatorKind::kDream) {
+    MIDAS_ASSIGN_OR_RETURN(out, Dream(config.dream).PredictCostsBatch(set, X));
+  } else {
+    MIDAS_ASSIGN_OR_RETURN(std::vector<SelectedModel> models,
+                           SelectBmlDirect(set, config.window));
+    out = Matrix(X.rows(), models.size());
+    Vector column;
+    for (size_t metric = 0; metric < models.size(); ++metric) {
+      MIDAS_RETURN_IF_ERROR(models[metric].learner->PredictBatch(X, &column));
+      for (size_t r = 0; r < X.rows(); ++r) out(r, metric) = column[r];
+    }
+  }
+  Clamp(&out);
+  return out;
+}
+
+// The estimator of `config` run straight on the TrainingSet, one point.
+StatusOr<Vector> PredictDirect(const TrainingSet& set, const Vector& x,
+                               const EstimatorConfig& config) {
+  Vector out;
+  if (config.kind == EstimatorKind::kDream) {
+    MIDAS_ASSIGN_OR_RETURN(out, Dream(config.dream).PredictCosts(set, x));
+  } else {
+    MIDAS_ASSIGN_OR_RETURN(std::vector<SelectedModel> models,
+                           SelectBmlDirect(set, config.window));
+    out.resize(models.size());
+    for (size_t metric = 0; metric < models.size(); ++metric) {
+      MIDAS_ASSIGN_OR_RETURN(out[metric], models[metric].learner->Predict(x));
+    }
+  }
+  for (double& c : out) c = std::max(0.0, c);
+  return out;
+}
+
 TEST(SnapshotEquivalenceTest, PredictMatchesLivePathBitwise) {
   auto modelling_ptr = MakeTrainedModelling(30);
   Modelling& modelling = *modelling_ptr;
   auto snapshot = modelling.Snapshot();
+  const TrainingSet& set = LiveSet(modelling, "q");
   Rng rng(23);
   for (const EstimatorConfig& config : AllEstimators()) {
     for (int p = 0; p < 5; ++p) {
       const Vector probe = {rng.Uniform(1, 10), rng.Uniform(1, 10)};
-      auto live = modelling.Predict("q", probe, config);
       auto frozen = modelling.Predict(*snapshot, "q", probe, config);
-      ASSERT_TRUE(live.ok()) << EstimatorName(config);
       ASSERT_TRUE(frozen.ok()) << EstimatorName(config);
+      auto direct = PredictDirect(set, probe, config);
+      ASSERT_TRUE(direct.ok()) << EstimatorName(config);
       // Bit-identical, not approximately equal.
-      EXPECT_EQ(*live, *frozen) << EstimatorName(config);
+      EXPECT_EQ(*direct, *frozen) << EstimatorName(config);
     }
   }
 }
@@ -70,19 +149,20 @@ TEST(SnapshotEquivalenceTest, PredictBatchMatchesLivePathBitwise) {
   auto modelling_ptr = MakeTrainedModelling(25);
   Modelling& modelling = *modelling_ptr;
   auto snapshot = modelling.Snapshot();
+  const TrainingSet& set = LiveSet(modelling, "q");
   Rng rng(29);
   Matrix probes(7, 2);
   for (size_t r = 0; r < probes.rows(); ++r) {
     probes.SetRow(r, {rng.Uniform(1, 10), rng.Uniform(1, 10)});
   }
   for (const EstimatorConfig& config : AllEstimators()) {
-    auto live = modelling.PredictBatch("q", probes, config);
+    auto direct = PredictBatchDirect(set, probes, config);
     auto frozen = modelling.PredictBatch(*snapshot, "q", probes, config);
-    ASSERT_TRUE(live.ok()) << EstimatorName(config);
+    ASSERT_TRUE(direct.ok()) << EstimatorName(config);
     ASSERT_TRUE(frozen.ok()) << EstimatorName(config);
     for (size_t r = 0; r < probes.rows(); ++r) {
       for (size_t c = 0; c < 2u; ++c) {
-        EXPECT_EQ((*live)(r, c), (*frozen)(r, c)) << EstimatorName(config);
+        EXPECT_EQ((*direct)(r, c), (*frozen)(r, c)) << EstimatorName(config);
       }
     }
   }
@@ -93,7 +173,7 @@ TEST(SnapshotEquivalenceTest, DreamDiagnosticsMatchLivePath) {
   Modelling& modelling = *modelling_ptr;
   auto snapshot = modelling.Snapshot();
   DreamOptions options;
-  auto live = modelling.DreamDiagnostics("q", options);
+  auto live = Dream(options).EstimateCostValue(LiveSet(modelling, "q"));
   auto frozen = modelling.DreamDiagnostics(*snapshot, "q", options);
   ASSERT_TRUE(live.ok());
   ASSERT_TRUE(frozen.ok());
@@ -109,24 +189,25 @@ TEST(SnapshotEquivalenceTest, ErrorsMatchLivePathVerbatim) {
   Modelling& modelling = *modelling_ptr;
   auto snapshot = modelling.Snapshot();
   const EstimatorConfig config = EstimatorConfig::DreamDefault();
-  // Unknown scope.
+  // Unknown scope: the snapshot answers exactly as the live History does.
   const Status live_missing =
-      modelling.Predict("nope", {1.0, 1.0}, config).status();
+      modelling.publisher().history().Get("nope").status();
   const Status frozen_missing =
       modelling.Predict(*snapshot, "nope", {1.0, 1.0}, config).status();
+  EXPECT_FALSE(live_missing.ok());
   EXPECT_EQ(live_missing.code(), frozen_missing.code());
   EXPECT_EQ(live_missing.message(), frozen_missing.message());
   // Wrong arity.
-  const Status live_arity = modelling.Predict("q", {1.0}, config).status();
   const Status frozen_arity =
       modelling.Predict(*snapshot, "q", {1.0}, config).status();
-  EXPECT_EQ(live_arity.code(), frozen_arity.code());
-  EXPECT_EQ(live_arity.message(), frozen_arity.message());
+  EXPECT_EQ(frozen_arity.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(frozen_arity.message(), "feature arity mismatch");
 }
 
 // ---------------------------------------------------------------------------
 // Whole-pipeline equivalence: an Optimize driven by snapshot-pinned
-// predictions must reproduce the live-path optimization exactly.
+// predictions must reproduce the optimization driven by the estimator run
+// directly on the live TrainingSet exactly.
 
 struct Environment {
   Federation federation;
@@ -203,23 +284,25 @@ TEST(SnapshotEquivalenceTest, OptimizeOverSnapshotReproducesLivePath) {
 
   const EstimatorConfig estimator = EstimatorConfig::DreamDefault();
   auto snapshot = modelling.Snapshot();
-  auto live_predictor = [&](const QueryPlan& plan) -> StatusOr<Vector> {
-    MIDAS_ASSIGN_OR_RETURN(Vector x,
-                           ExtractFeatures(env.federation, plan));
-    return modelling.Predict(scope, x, estimator);
-  };
-  auto snapshot_predictor = [&](const QueryPlan& plan) -> StatusOr<Vector> {
-    MIDAS_ASSIGN_OR_RETURN(Vector x,
-                           ExtractFeatures(env.federation, plan));
-    return modelling.Predict(*snapshot, scope, x, estimator);
-  };
+  const TrainingSet& set = LiveSet(modelling, scope);
+  auto live_predictor = PerPlanCostPredictor(
+      [&](const QueryPlan& plan) -> StatusOr<Vector> {
+        MIDAS_ASSIGN_OR_RETURN(Vector x,
+                               ExtractFeatures(env.federation, plan));
+        return PredictDirect(set, x, estimator);
+      });
+  auto snapshot_predictor = PerPlanCostPredictor(
+      [&](const QueryPlan& plan) -> StatusOr<Vector> {
+        MIDAS_ASSIGN_OR_RETURN(Vector x,
+                               ExtractFeatures(env.federation, plan));
+        return modelling.Predict(*snapshot, scope, x, estimator);
+      });
 
   MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog);
   QueryPolicy policy;
   policy.weights = {0.6, 0.4};
   auto live = optimizer.Optimize(LogicalJoin(), live_predictor, policy);
-  auto frozen = optimizer.Optimize(LogicalJoin(), snapshot_predictor, policy,
-                                   snapshot->epoch());
+  auto frozen = optimizer.Optimize(LogicalJoin(), snapshot_predictor, policy);
   ASSERT_TRUE(live.ok());
   ASSERT_TRUE(frozen.ok());
   EXPECT_EQ(live->candidates_examined, frozen->candidates_examined);
@@ -228,79 +311,6 @@ TEST(SnapshotEquivalenceTest, OptimizeOverSnapshotReproducesLivePath) {
   for (size_t i = 0; i < live->pareto_costs.size(); ++i) {
     EXPECT_EQ(live->pareto_costs[i], frozen->pareto_costs[i]);
   }
-  EXPECT_EQ(live->snapshot_epoch, 0u);  // unversioned legacy caller
-  EXPECT_EQ(frozen->snapshot_epoch, snapshot->epoch());
-}
-
-TEST(SnapshotEquivalenceTest, CachedCostsNeverCrossEpochs) {
-  Environment env = MakeEnvironment();
-  ExecutionSimulator simulator(&env.federation, &env.catalog,
-                               Deterministic());
-  Modelling modelling(FeatureNames(env.federation), StandardMetricNames());
-  Scheduler scheduler(&env.federation, &simulator, &modelling);
-  const std::string scope = "join";
-  EnumeratorOptions enum_opts;
-  PlanEnumerator enumerator(&env.federation, &env.catalog, enum_opts);
-  auto plans = enumerator.EnumeratePhysical(LogicalJoin()).ValueOrDie();
-  Rng rng(43);
-  for (int i = 0; i < 15; ++i) {
-    ASSERT_TRUE(
-        scheduler.ExecuteAndRecord(scope, plans[rng.Index(plans.size())])
-            .ok());
-  }
-
-  const EstimatorConfig estimator = EstimatorConfig::DreamDefault();
-  MoqpOptions moqp;
-  moqp.cache_predictions = true;
-  MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog, moqp);
-  QueryPolicy policy;
-  policy.weights = {0.6, 0.4};
-
-  auto make_predictor = [&](std::shared_ptr<const EstimatorSnapshot> snap) {
-    return [&, snap](const QueryPlan& plan) -> StatusOr<Vector> {
-      MIDAS_ASSIGN_OR_RETURN(Vector x,
-                             ExtractFeatures(env.federation, plan));
-      return modelling.Predict(*snap, scope, x, estimator);
-    };
-  };
-
-  auto first_snapshot = modelling.Snapshot();
-  auto first = optimizer.Optimize(LogicalJoin(),
-                                  make_predictor(first_snapshot), policy,
-                                  first_snapshot->epoch());
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->cache_hits, 0u);
-  EXPECT_GT(first->cache_misses, 0u);
-  // With caching on, every miss is one predictor call and hits+misses
-  // covers exactly the distinct feature vectors (aggregation invariant
-  // shared by the scalar, batched and streaming paths).
-  EXPECT_EQ(first->predictor_calls, first->cache_misses);
-  EXPECT_EQ(first->snapshot_epoch, first_snapshot->epoch());
-
-  // Same snapshot again: all warm.
-  auto warm = optimizer.Optimize(LogicalJoin(),
-                                 make_predictor(first_snapshot), policy,
-                                 first_snapshot->epoch());
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->cache_misses, 0u);
-  EXPECT_EQ(warm->predictor_calls, 0u);
-  EXPECT_EQ(warm->cache_hits, first->cache_misses);
-
-  // New feedback -> new epoch -> the warm entries must NOT be served.
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(
-        scheduler.ExecuteAndRecord(scope, plans[rng.Index(plans.size())])
-            .ok());
-  }
-  auto second_snapshot = modelling.Snapshot();
-  ASSERT_GT(second_snapshot->epoch(), first_snapshot->epoch());
-  auto second = optimizer.Optimize(LogicalJoin(),
-                                   make_predictor(second_snapshot), policy,
-                                   second_snapshot->epoch());
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->cache_hits, 0u);
-  EXPECT_EQ(second->predictor_calls, second->cache_misses);
-  EXPECT_EQ(second->snapshot_epoch, second_snapshot->epoch());
 }
 
 }  // namespace

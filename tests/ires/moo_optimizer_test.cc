@@ -1,11 +1,14 @@
 #include "ires/moo_optimizer.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "engine/simulator.h"
+#include "ires/features.h"
 #include "optimizer/pareto.h"
 
 namespace midas {
@@ -63,10 +66,10 @@ QueryPlan LogicalJoin() {
 // Cost predictor backed by the deterministic simulator (oracle predictor).
 MultiObjectiveOptimizer::CostPredictor OraclePredictor(
     ExecutionSimulator* sim) {
-  return [sim](const QueryPlan& plan) -> StatusOr<Vector> {
+  return PerPlanCostPredictor([sim](const QueryPlan& plan) -> StatusOr<Vector> {
     MIDAS_ASSIGN_OR_RETURN(Measurement m, sim->ExpectedCostAt(plan, 0));
     return Vector{m.seconds, m.dollars};
-  };
+  });
 }
 
 SimulatorOptions Deterministic() {
@@ -79,10 +82,14 @@ SimulatorOptions Deterministic() {
   return options;
 }
 
-// Synthetic linear batch predictor: a pure, thread-safe function of the
-// feature rows, as the batched/streaming pipelines require.
-MultiObjectiveOptimizer::BatchCostPredictor LinearBatchPredictor() {
-  return [](const Matrix& features, Matrix* costs) -> Status {
+// Synthetic linear predictor over the plans' feature rows: a pure,
+// thread-safe function of the features.
+MultiObjectiveOptimizer::CostPredictor LinearBatchPredictor(
+    const Federation* federation) {
+  return [federation](std::span<const QueryPlan> plans,
+                      Matrix* costs) -> Status {
+    MIDAS_ASSIGN_OR_RETURN(Matrix features,
+                           ExtractFeatureMatrix(*federation, plans));
     *costs = Matrix(features.rows(), 2, 0.0);
     for (size_t r = 0; r < features.rows(); ++r) {
       double time = 1.0;
@@ -96,6 +103,18 @@ MultiObjectiveOptimizer::BatchCostPredictor LinearBatchPredictor() {
     }
     return Status::OK();
   };
+}
+
+void ExpectSameResult(const MoqpResult& a, const MoqpResult& b,
+                      const std::string& label) {
+  EXPECT_EQ(a.candidates_examined, b.candidates_examined) << label;
+  EXPECT_EQ(a.pareto_costs, b.pareto_costs) << label;
+  EXPECT_EQ(a.chosen, b.chosen) << label;
+  ASSERT_EQ(a.pareto_plans.size(), b.pareto_plans.size()) << label;
+  for (size_t i = 0; i < a.pareto_plans.size(); ++i) {
+    EXPECT_EQ(a.pareto_plans[i].ToString(), b.pareto_plans[i].ToString())
+        << label << " plan " << i;
+  }
 }
 
 TEST(MoqpTest, ExhaustiveParetoReturnsNonDominatedSet) {
@@ -232,38 +251,30 @@ TEST(MoqpTest, StreamingMatchesMaterializedAcrossChunkSizes) {
   Environment env = MakeEnvironment();
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
-  MultiObjectiveOptimizer baseline_opt(&env.federation, &env.catalog);
-  auto baseline =
-      baseline_opt.Optimize(LogicalJoin(), LinearBatchPredictor(), policy);
+  // One chunk holding every candidate is the materialize-everything case.
+  MoqpOptions materialized;
+  materialized.chunk_size = 100000;
+  MultiObjectiveOptimizer baseline_opt(&env.federation, &env.catalog,
+                                       materialized);
+  auto baseline = baseline_opt.Optimize(
+      LogicalJoin(), LinearBatchPredictor(&env.federation), policy);
   ASSERT_TRUE(baseline.ok());
-  // The materialized path holds the whole candidate set at once.
   EXPECT_EQ(baseline->peak_resident_candidates,
             baseline->candidates_examined);
 
-  for (size_t chunk :
-       {size_t{0}, size_t{1}, size_t{7}, size_t{100000}}) {
+  for (size_t chunk : {size_t{0}, size_t{1}, size_t{7}, size_t{16}}) {
     MoqpOptions options;
-    options.stream_chunk_size = chunk;
+    options.chunk_size = chunk;
     MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
                                       options);
-    auto streamed = optimizer.OptimizeStreaming(
-        LogicalJoin(), LinearBatchPredictor(), policy);
-    ASSERT_TRUE(streamed.ok()) << "chunk=" << chunk;
-    EXPECT_EQ(streamed->pareto_costs, baseline->pareto_costs)
-        << "chunk=" << chunk;
-    EXPECT_EQ(streamed->chosen, baseline->chosen) << "chunk=" << chunk;
-    EXPECT_EQ(streamed->candidates_examined, baseline->candidates_examined)
-        << "chunk=" << chunk;
-    ASSERT_EQ(streamed->pareto_plans.size(), baseline->pareto_plans.size())
-        << "chunk=" << chunk;
-    for (size_t i = 0; i < streamed->pareto_plans.size(); ++i) {
-      EXPECT_EQ(streamed->pareto_plans[i].ToString(),
-                baseline->pareto_plans[i].ToString())
-          << "chunk=" << chunk << " plan " << i;
-    }
+    auto streamed = optimizer.Optimize(
+        LogicalJoin(), LinearBatchPredictor(&env.federation), policy);
+    const std::string label = "chunk=" + std::to_string(chunk);
+    ASSERT_TRUE(streamed.ok()) << label;
+    ExpectSameResult(*baseline, *streamed, label);
     EXPECT_LE(streamed->peak_resident_candidates,
               baseline->peak_resident_candidates)
-        << "chunk=" << chunk;
+        << label;
     if (chunk == 1) {
       // O(front + chunk) beats O(candidates) once chunks are small.
       EXPECT_LT(streamed->peak_resident_candidates,
@@ -274,33 +285,45 @@ TEST(MoqpTest, StreamingMatchesMaterializedAcrossChunkSizes) {
 
 TEST(MoqpTest, StreamingFallsBackForNonStreamableAlgorithms) {
   // kWsm normalises over the full candidate set and the NSGA variants
-  // evolve over the full cost table, so OptimizeStreaming must delegate
-  // to the materialized path and return its exact result.
+  // evolve over the full cost table, so their fold keeps every costed row
+  // and reassembles the table in enumeration order: the result must not
+  // depend on how the stream was chunked or sharded, and the table is the
+  // whole candidate set.
   Environment env = MakeEnvironment();
   QueryPolicy policy;
   policy.weights = {0.5, 0.5};
   for (MoqpAlgorithm algorithm :
-       {MoqpAlgorithm::kWsm, MoqpAlgorithm::kNsga2}) {
+       {MoqpAlgorithm::kWsm, MoqpAlgorithm::kNsga2, MoqpAlgorithm::kNsgaG}) {
     MoqpOptions options;
     options.algorithm = algorithm;
     options.nsga2.population_size = 20;
     options.nsga2.generations = 10;
-    MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
-                                      options);
-    auto materialized =
-        optimizer.Optimize(LogicalJoin(), LinearBatchPredictor(), policy);
-    auto streamed = optimizer.OptimizeStreaming(
-        LogicalJoin(), LinearBatchPredictor(), policy);
+    options.nsga_g.population_size = 20;
+    options.nsga_g.generations = 10;
+    options.chunk_size = 100000;
+    MultiObjectiveOptimizer materialized_opt(&env.federation, &env.catalog,
+                                             options);
+    auto materialized = materialized_opt.Optimize(
+        LogicalJoin(), LinearBatchPredictor(&env.federation), policy);
     ASSERT_TRUE(materialized.ok()) << MoqpAlgorithmName(algorithm);
-    ASSERT_TRUE(streamed.ok()) << MoqpAlgorithmName(algorithm);
-    EXPECT_EQ(streamed->pareto_costs, materialized->pareto_costs)
-        << MoqpAlgorithmName(algorithm);
-    EXPECT_EQ(streamed->chosen, materialized->chosen)
-        << MoqpAlgorithmName(algorithm);
-    // The fallback materialises the full candidate set.
-    EXPECT_EQ(streamed->peak_resident_candidates,
-              streamed->candidates_examined)
-        << MoqpAlgorithmName(algorithm);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      for (size_t chunk : {size_t{1}, size_t{7}, size_t{16}}) {
+        options.threads = threads;
+        options.chunk_size = chunk;
+        MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
+                                          options);
+        auto streamed = optimizer.Optimize(
+            LogicalJoin(), LinearBatchPredictor(&env.federation), policy);
+        const std::string label = MoqpAlgorithmName(algorithm) +
+                                  " threads=" + std::to_string(threads) +
+                                  " chunk=" + std::to_string(chunk);
+        ASSERT_TRUE(streamed.ok()) << label;
+        ExpectSameResult(*materialized, *streamed, label);
+        EXPECT_EQ(streamed->peak_resident_candidates,
+                  streamed->candidates_examined)
+            << label;
+      }
+    }
   }
 }
 
@@ -314,18 +337,10 @@ TEST(MoqpTest, NullPredictorRejected) {
                              MultiObjectiveOptimizer::CostPredictor(nullptr),
                              policy)
                    .ok());
-  EXPECT_FALSE(
-      optimizer
-          .Optimize(LogicalJoin(),
-                    MultiObjectiveOptimizer::BatchCostPredictor(nullptr),
-                    policy)
-          .ok());
-  EXPECT_FALSE(
-      optimizer
-          .OptimizeStreaming(
-              LogicalJoin(),
-              MultiObjectiveOptimizer::BatchCostPredictor(nullptr), policy)
-          .ok());
+  EXPECT_FALSE(optimizer
+                   .Optimize(LogicalJoin(), PerPlanCostPredictor(nullptr),
+                             policy)
+                   .ok());
 }
 
 TEST(MoqpTest, PredictorArityMismatchRejected) {
@@ -336,7 +351,93 @@ TEST(MoqpTest, PredictorArityMismatchRejected) {
   auto bad_predictor = [](const QueryPlan&) -> StatusOr<Vector> {
     return Vector{1.0};  // one metric, policy expects two
   };
-  EXPECT_FALSE(optimizer.Optimize(LogicalJoin(), bad_predictor, policy).ok());
+  EXPECT_FALSE(optimizer
+                   .Optimize(LogicalJoin(), PerPlanCostPredictor(bad_predictor),
+                             policy)
+                   .ok());
+  // Per-plan results of differing arity cannot be stacked into one batch.
+  auto ragged = [](const QueryPlan& plan) -> StatusOr<Vector> {
+    if (plan.root()->num_nodes == 1) return Vector{1.0, 1.0};
+    return Vector{1.0, 1.0, 1.0};
+  };
+  EXPECT_FALSE(
+      optimizer.Optimize(LogicalJoin(), PerPlanCostPredictor(ragged), policy)
+          .ok());
+}
+
+TEST(MoqpTest, NonFinitePredictedCostsRejected) {
+  // NaN breaks the strict weak ordering of the Pareto sort and infinity
+  // breaks Algorithm 2's normalisation: both must surface as a typed error
+  // naming the offending candidate, for every algorithm and thread count.
+  Environment env = MakeEnvironment();
+  QueryPolicy policy;
+  policy.weights = {0.5, 0.5};
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    auto predictor = PerPlanCostPredictor(
+        [bad](const QueryPlan&) -> StatusOr<Vector> {
+          return Vector{1.0, bad};
+        });
+    for (MoqpAlgorithm algorithm :
+         {MoqpAlgorithm::kExhaustivePareto, MoqpAlgorithm::kWsm,
+          MoqpAlgorithm::kNsga2, MoqpAlgorithm::kNsgaG}) {
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        MoqpOptions options;
+        options.algorithm = algorithm;
+        options.threads = threads;
+        options.chunk_size = 5;
+        MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
+                                          options);
+        auto result = optimizer.Optimize(LogicalJoin(), predictor, policy);
+        const std::string label = MoqpAlgorithmName(algorithm) +
+                                  " threads=" + std::to_string(threads) +
+                                  " bad=" + std::to_string(bad);
+        ASSERT_FALSE(result.ok()) << label;
+        EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+            << label;
+        EXPECT_EQ(result.status().message(),
+                  "predicted cost of candidate 0 is not finite")
+            << label;
+      }
+    }
+  }
+}
+
+TEST(MoqpTest, LowestSequenceNonFiniteCostIsReported) {
+  // Only two candidates cost NaN; whichever shard and chunk they land in,
+  // the error names the one the serial enumeration reaches first.
+  Environment env = MakeEnvironment();
+  PlanEnumerator enumerator(&env.federation, &env.catalog);
+  auto plans = enumerator.EnumeratePhysical(LogicalJoin());
+  ASSERT_TRUE(plans.ok());
+  ASSERT_GT(plans->size(), 40u);
+  const std::string first_bad = (*plans)[37].ToString();
+  const std::string second_bad = (*plans)[11].ToString();
+  ASSERT_NE(first_bad, second_bad);
+  auto predictor = PerPlanCostPredictor(
+      [&](const QueryPlan& plan) -> StatusOr<Vector> {
+        const std::string key = plan.ToString();
+        if (key == first_bad || key == second_bad) {
+          return Vector{std::numeric_limits<double>::quiet_NaN(), 1.0};
+        }
+        return Vector{1.0, 1.0};
+      });
+  QueryPolicy policy;
+  policy.weights = {0.5, 0.5};
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    for (size_t chunk : {size_t{1}, size_t{7}, size_t{4096}}) {
+      MoqpOptions options;
+      options.threads = threads;
+      options.chunk_size = chunk;
+      MultiObjectiveOptimizer optimizer(&env.federation, &env.catalog,
+                                        options);
+      auto result = optimizer.Optimize(LogicalJoin(), predictor, policy);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().message(),
+                "predicted cost of candidate 11 is not finite")
+          << "threads=" << threads << " chunk=" << chunk;
+    }
+  }
 }
 
 TEST(MoqpAlgorithmTest, Names) {

@@ -82,40 +82,6 @@ TEST(SnapshotPublisherTest, RecordBatchReportsThePublishedEpoch) {
   EXPECT_EQ(unchanged, 2u);
 }
 
-TEST(SnapshotPublisherTest, PublishListenersFireOnEveryPublication) {
-  SnapshotPublisher publisher = MakePublisher();
-  std::vector<uint64_t> seen;
-  publisher.AddPublishListener(
-      [&seen](uint64_t epoch) { seen.push_back(epoch); });
-  ASSERT_TRUE(publisher.Record("q1", Obs(1.0, 10.0)).ok());
-  std::vector<SnapshotPublisher::ScopedObservation> batch;
-  batch.push_back({"q1", Obs(2.0, 20.0)});
-  batch.push_back({"q2", Obs(3.0, 30.0)});
-  ASSERT_TRUE(publisher.RecordBatch(std::move(batch)).ok());
-  EXPECT_EQ(seen, (std::vector<uint64_t>{1, 2}));
-  // An empty batch publishes nothing, so no notification fires.
-  ASSERT_TRUE(publisher.RecordBatch({}).ok());
-  EXPECT_EQ(seen.size(), 2u);
-  // The dirty MutableHistory republish (folded into Acquire) is a
-  // publication too.
-  publisher.MutableHistory();
-  auto snapshot = publisher.Acquire();
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen.back(), snapshot->epoch());
-}
-
-TEST(SnapshotPublisherTest, ListenerMayAcquireWithoutDeadlock) {
-  SnapshotPublisher publisher = MakePublisher();
-  uint64_t pinned_epoch = 0;
-  publisher.AddPublishListener([&](uint64_t epoch) {
-    auto snapshot = publisher.Acquire();  // must not self-deadlock
-    EXPECT_EQ(snapshot->epoch(), epoch);
-    pinned_epoch = snapshot->epoch();
-  });
-  ASSERT_TRUE(publisher.Record("q1", Obs(1.0, 10.0)).ok());
-  EXPECT_EQ(pinned_epoch, 1u);
-}
-
 TEST(SnapshotPublisherTest, PinnedSnapshotNeverSeesLaterRecords) {
   SnapshotPublisher publisher = MakePublisher();
   ASSERT_TRUE(publisher.Record("q1", Obs(1.0, 10.0)).ok());

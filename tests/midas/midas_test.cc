@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ires/features.h"
 #include "midas/medical.h"
 #include "support/simd_testing.h"
 
@@ -69,10 +70,16 @@ TEST(MidasSystemTest, PredictPlanCostsMatchesMetricLayout) {
   policy.weights = {0.5, 0.5};
   auto outcome = system.RunQuery("scope", query, policy);
   ASSERT_TRUE(outcome.ok());
-  auto costs =
-      system.PredictPlanCosts("scope", outcome->moqp.chosen_plan());
+  // Predicting the chosen plan against a snapshot yields one non-negative
+  // entry per standard metric.
+  auto features =
+      ExtractFeatures(system.federation(), outcome->moqp.chosen_plan());
+  ASSERT_TRUE(features.ok());
+  auto costs = system.modelling().Predict(*system.modelling().Snapshot(),
+                                          "scope", *features,
+                                          system.options().estimator);
   ASSERT_TRUE(costs.ok());
-  EXPECT_EQ(costs->size(), 2u);
+  EXPECT_EQ(costs->size(), StandardMetricNames().size());
   EXPECT_GE((*costs)[0], 0.0);
   EXPECT_GE((*costs)[1], 0.0);
 }
@@ -105,17 +112,18 @@ TEST(MidasSystemTest, WsmModeRunsEndToEnd) {
 }
 
 TEST(MidasSystemTest, ShardedRunQueryMatchesSerial) {
-  // RunQuery with moqp.shards != 1 routes through the sharded streaming
-  // pipeline (batched snapshot predictor); at equal seed and history the
-  // optimization outcome must match the serial path: bit-identical when
-  // the scalar kernel tier is pinned, and within the SIMD layer's 1e-12
-  // relative drift budget otherwise (the batch path runs the GEMM tile
-  // kernel while the serial path runs per-row dots).
+  // RunQuery with moqp.threads != 1 runs concurrent shard pipelines
+  // costing smaller batches; at equal seed and history the optimization
+  // outcome must match the serial pipeline: bit-identical when the scalar
+  // kernel tier is pinned, and within the SIMD layer's 1e-12 relative
+  // drift budget otherwise (the GEMM tile kernel may round differently
+  // for different batch shapes).
   MidasOptions serial_options;
   serial_options.seed = 321;
   MidasSystem serial = MakeSystem(serial_options);
   MidasOptions sharded_options = serial_options;
-  sharded_options.moqp.shards = 2;
+  sharded_options.moqp.threads = 2;
+  sharded_options.moqp.chunk_size = 7;
   MidasSystem sharded = MakeSystem(sharded_options);
 
   QueryPlan query = MakeExample21Query().ValueOrDie();
@@ -144,7 +152,7 @@ TEST(MidasSystemTest, ShardedRunQueryMatchesSerial) {
     SCOPED_TRACE("predicted metric " + std::to_string(k));
     MIDAS_EXPECT_SIMD_EQ(b->predicted[k], a->predicted[k]);
   }
-  EXPECT_TRUE(a->moqp.shard_stats.empty());
+  EXPECT_EQ(a->moqp.shard_stats.size(), 1u);
   EXPECT_EQ(b->moqp.shard_stats.size(), 2u);
 }
 

@@ -6,12 +6,10 @@ namespace midas {
 namespace {
 
 TableDef MakeTable() {
-  TableDef t;
-  t.name = "t";
-  t.row_count = 1000;
-  t.columns = {{"status", ColumnType::kString, 1.0, 4},
-               {"amount", ColumnType::kDouble, 8.0, 500}};
-  return t;
+  return TableDef{.name = "t",
+                  .columns = {{"status", ColumnType::kString, 1.0, 4},
+                              {"amount", ColumnType::kDouble, 8.0, 500}},
+                  .row_count = 1000};
 }
 
 TEST(SelectivityTest, EqualityUsesNdv) {

@@ -1,17 +1,18 @@
 #include "query/schema.h"
 
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 namespace midas {
 namespace {
 
-TableDef MakeTable() {
-  TableDef t;
-  t.name = "t";
-  t.row_count = 100;
-  t.columns = {{"id", ColumnType::kInt, 4.0, 100},
-               {"name", ColumnType::kString, 20.0, 90}};
-  return t;
+TableDef MakeTable(std::string name = "t", uint64_t row_count = 100) {
+  return TableDef{.name = std::move(name),
+                  .columns = {{"id", ColumnType::kInt, 4.0, 100},
+                              {"name", ColumnType::kString, 20.0, 90}},
+                  .row_count = row_count};
 }
 
 TEST(TableDefTest, RowWidthSumsColumnWidths) {
@@ -50,10 +51,7 @@ TEST(CatalogTest, DuplicateTableRejected) {
 TEST(CatalogTest, TotalBytesSumsTables) {
   Catalog catalog;
   ASSERT_TRUE(catalog.AddTable(MakeTable()).ok());
-  TableDef other = MakeTable();
-  other.name = "u";
-  other.row_count = 50;
-  ASSERT_TRUE(catalog.AddTable(other).ok());
+  ASSERT_TRUE(catalog.AddTable(MakeTable("u", 50)).ok());
   EXPECT_DOUBLE_EQ(catalog.TotalBytes(), 2400.0 + 1200.0);
 }
 

@@ -251,8 +251,14 @@ TEST(DreamEngineEquivalenceTest, RandomHistories) {
     const size_t n = 1 + rng.Index(3);
     const size_t history_size = l + 2 + rng.Index(60);
     std::vector<std::string> features(l), metrics(n);
-    for (size_t j = 0; j < l; ++j) features[j] = "x" + std::to_string(j);
-    for (size_t k = 0; k < n; ++k) metrics[k] = "c" + std::to_string(k);
+    for (size_t j = 0; j < l; ++j) {
+      const std::string index = std::to_string(j);
+      features[j] = "x" + index;
+    }
+    for (size_t k = 0; k < n; ++k) {
+      const std::string index = std::to_string(k);
+      metrics[k] = "c" + index;
+    }
     TrainingSet history(std::move(features), std::move(metrics));
     std::vector<Vector> truth(n, Vector(l + 1, 0.0));
     for (size_t k = 0; k < n; ++k) {

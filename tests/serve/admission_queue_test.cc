@@ -140,7 +140,8 @@ TEST(AdmissionQueueTest, ConcurrentPushersAndPoppersConserveItems) {
   std::vector<std::thread> threads;
   for (int p = 0; p < kPushers; ++p) {
     threads.emplace_back([&, p] {
-      const std::string tenant = "t" + std::to_string(p);
+      const std::string index = std::to_string(p);
+      const std::string tenant = "t" + index;
       for (int i = 0; i < kPerPusher; ++i) {
         while (!queue.Push(tenant, p * kPerPusher + i).ok()) {
           std::this_thread::yield();
